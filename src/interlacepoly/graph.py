@@ -4,6 +4,12 @@ Adjacency is one bit row per vertex (bit w of row v set iff vw is an
 edge); a loop is a set diagonal bit.  Vertex sets passed to operations
 are iterables of vertex indices.  Graphs are immutable: every operation
 returns a fresh instance.
+
+Each move is written once, on bare rows (the *_rows functions below);
+the SimpleGraph methods validate their arguments and delegate to them.
+A graph built from outside data is checked when it is constructed; a
+graph a move derives from a valid graph is valid by construction and is
+not checked again.
 """
 
 from __future__ import annotations
@@ -14,12 +20,21 @@ from .gf2 import GF2Matrix
 
 MAX_VERTICES = 63  # a vertex set must fit one machine word
 
+Rows = Tuple[int, ...]  # adjacency rows, one bitmask per vertex
+
 
 class SimpleGraph:
     __slots__ = ("n", "adj", "loops_allowed")
 
     def __init__(self, n: int, adj: Sequence[int] | None = None,
-                 loops_allowed: bool = False):
+                 loops_allowed: bool = False, *, _valid: bool = False):
+        # _valid is for the moves below: their rows come from a valid
+        # graph, so the O(n^2) checks would only repeat what holds.
+        if _valid:
+            self.n = n
+            self.adj = adj
+            self.loops_allowed = loops_allowed
+            return
         if n < 0 or n > MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
         adj = list(adj) if adj is not None else [0] * n
@@ -148,28 +163,17 @@ class SimpleGraph:
         return self._pivot_unchecked(v, w)
 
     def _pivot_unchecked(self, v: int, w: int) -> "SimpleGraph":
-        # Used directly by the two-variable reduction, where other vertices
-        # may carry loops but v and w must not.
+        # Used directly by the recursions: their graphs are checked
+        # loopless on entry, and in the two-variable reduction other
+        # vertices may carry loops but v and w must not.
         self._check_vertex(v)
         self._check_vertex(w)
         if v == w or not self.has_edge(v, w):
             raise ValueError(f"({v}, {w}) is not an edge")
         if (self.adj[v] >> v) & 1 or (self.adj[w] >> w) & 1:
             raise ValueError("pivot endpoints must be loopless")
-        ends = (1 << v) | (1 << w)
-        only_v = self.adj[v] & ~self.adj[w] & ~ends
-        only_w = self.adj[w] & ~self.adj[v] & ~ends
-        both = self.adj[v] & self.adj[w] & ~ends
-        adj = list(self.adj)
-        for cls, rest in ((only_v, only_w | both),
-                          (only_w, only_v | both),
-                          (both, only_v | only_w)):
-            m = cls
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                adj[u] ^= rest
-        return SimpleGraph(self.n, adj, self.loops_allowed)
+        return SimpleGraph(self.n, pivot_rows(self.adj, v, w),
+                           self.loops_allowed, _valid=True)
 
     def local_complement(self, v: int) -> "SimpleGraph":
         """Complement the subgraph induced by the neighborhood of v.
@@ -179,35 +183,28 @@ class SimpleGraph:
         the diagonal: each neighbor's loop flips too, v included.
         """
         self._check_vertex(v)
-        nv = self.adj[v]
-        looped = (nv >> v) & 1
-        adj = list(self.adj)
-        m = nv
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            adj[u] ^= nv if looped else nv & ~(1 << u)
-        return SimpleGraph(self.n, adj, self.loops_allowed or bool(looped))
+        looped = bool((self.adj[v] >> v) & 1)
+        return SimpleGraph(self.n, local_complement_rows(self.adj, v),
+                           self.loops_allowed or looped, _valid=True)
 
     def delete_vertex(self, v: int) -> "SimpleGraph":
         """Remove v and its incident edges, re-indexing the rest in order."""
         self._check_vertex(v)
-        low = (1 << v) - 1
-        adj = []
-        for u, row in enumerate(self.adj):
-            if u == v:
-                continue
-            adj.append((row & low) | ((row >> (v + 1)) << v))
-        return SimpleGraph(self.n - 1, adj, self.loops_allowed)
+        return SimpleGraph(self.n - 1, delete_vertex_rows(self.adj, v),
+                           self.loops_allowed, _valid=True)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "SimpleGraph":
-        order = sorted(_bits_to_set(self._mask(vertices)))
-        adj = [0] * len(order)
-        for i, u in enumerate(order):
-            for j, w in enumerate(order):
-                if (self.adj[u] >> w) & 1:
-                    adj[i] |= 1 << j
-        return SimpleGraph(len(order), adj, self.loops_allowed)
+        mask = self._mask(vertices)
+        return SimpleGraph(mask.bit_count(), restrict_rows(self.adj, mask),
+                           self.loops_allowed, _valid=True)
+
+    def components(self) -> List["SimpleGraph"]:
+        """The connected components as graphs of their own, in order of
+        least vertex, each relabeled 0, 1, ... in increasing order; an
+        isolated vertex is a component of its own."""
+        return [SimpleGraph(mask.bit_count(), restrict_rows(self.adj, mask),
+                            self.loops_allowed, _valid=True)
+                for mask in component_masks(self.adj)]
 
     def adjacency_matrix(self, vertices: Iterable[int]) -> GF2Matrix:
         """Adjacency of the induced subgraph over GF(2), rows and columns
@@ -226,12 +223,6 @@ class SimpleGraph:
             if (self.adj[v] & mask).bit_count() & 1:
                 return False
         return True
-
-    def canonical_key(self) -> bytes:
-        """Deterministic byte encoding of (n, adjacency); memoization key."""
-        nbytes = (self.n + 7) // 8
-        return bytes([self.n]) + b"".join(
-            row.to_bytes(nbytes, "little") for row in self.adj)
 
     # -- text format ------------------------------------------------------
 
@@ -299,6 +290,90 @@ def _header_and_pairs(text: str, what: str) -> Tuple[Tuple[int, int], List[Tuple
         except ValueError:
             raise ValueError(f"edge line must be 'u v', got {ln!r}") from None
     return (n, m), pairs
+
+
+# -- row-level moves ------------------------------------------------------
+#
+# The same moves on bare adjacency rows, with no argument checks: callers
+# pass rows of a valid graph and in-range vertices.  The SimpleGraph
+# methods check their arguments and delegate here.
+
+
+def delete_vertex_rows(adj: Rows, v: int) -> Rows:
+    """Rows with vertex v removed and the vertices above it shifted down."""
+    low = (1 << v) - 1
+    s = v + 1
+    return tuple([(row & low) | (row >> s << v) for row in adj[:v] + adj[s:]])
+
+
+def pivot_rows(adj: Rows, v: int, w: int) -> Rows:
+    """Pivot on the edge vw, whose endpoints must be loopless; loops
+    elsewhere are untouched, since only pairs of distinct classes flip."""
+    av, aw = adj[v], adj[w]
+    ends = (1 << v) | (1 << w)
+    only_v = av & ~aw & ~ends
+    only_w = aw & ~av & ~ends
+    both = av & aw & ~ends
+    out = list(adj)
+    for cls, rest in ((only_v, only_w | both),
+                      (only_w, only_v | both),
+                      (both, only_v | only_w)):
+        m = cls
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            out[u] ^= rest
+    return tuple(out)
+
+
+def local_complement_rows(adj: Rows, v: int) -> Rows:
+    """Local complementation at v; at a looped v the neighbors' loops
+    flip as well."""
+    nv = adj[v]
+    looped = (nv >> v) & 1
+    out = list(adj)
+    m = nv
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        out[u] ^= nv if looped else nv ^ low
+    return tuple(out)
+
+
+def component_masks(adj: Rows) -> List[int]:
+    """Vertex masks of the connected components, in order of their least
+    vertex; an isolated vertex is a component of its own."""
+    out = []
+    left = (1 << len(adj)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = adj[v] & ~comp
+            comp |= new
+            frontier |= new
+        out.append(comp)
+        left &= ~comp
+    return out
+
+
+def restrict_rows(adj: Rows, mask: int) -> Rows:
+    """Rows of the subgraph induced by mask, its vertices relabeled
+    0, 1, ... in increasing order."""
+    order = sorted(_bits_to_set(mask))
+    index = {u: i for i, u in enumerate(order)}
+    out = []
+    for u in order:
+        row = 0
+        r = adj[u] & mask
+        while r:
+            low = r & -r
+            r ^= low
+            row |= 1 << index[low.bit_length() - 1]
+        out.append(row)
+    return tuple(out)
 
 
 def _bits_to_set(mask: int) -> set:

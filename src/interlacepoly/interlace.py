@@ -17,29 +17,19 @@ x=2 specialization.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from math import comb
-from typing import Dict, List, Optional, Tuple
+from math import comb, prod
+from operator import add
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ._workers import PARALLEL_THRESHOLD, resolve_workers
 from .gf2 import rank
-from .graph import SimpleGraph
+from .graph import Rows, SimpleGraph
 from .poly import BiPoly, UniPoly, poly_from_shift_counts
 
 QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
 
 # Subset-sum methods enumerate 2**n induced subgraphs.
 SUBSET_SUM_CAP = 24
-
-_qn_recursive_memo: Dict[bytes, Tuple[int, ...]] = {}
-_qn_bouchet_memo: Dict[bytes, Tuple[int, ...]] = {}
-_q2_reduction_memo: Dict[bytes, BiPoly] = {}
-
-
-def clear_caches() -> None:
-    _qn_recursive_memo.clear()
-    _qn_bouchet_memo.clear()
-    _q2_reduction_memo.clear()
-
 
 def qn(g: SimpleGraph, method: str = "closed",
        workers: Optional[int] = None) -> UniPoly:
@@ -74,42 +64,49 @@ def qn(g: SimpleGraph, method: str = "closed",
 def qn_recursive(g: SimpleGraph) -> UniPoly:
     """Pivot-and-delete recursion: on the lexicographically least edge vw,
     qn(G) = qn(G - v) + qn(pivot(G, v, w) - w); qn of n isolated vertices
-    is x**n.  Memoized on the exact labeled graph."""
+    is x**n.
+
+    qn is multiplicative over disjoint unions, so each connected
+    component is reduced on its own and the results are multiplied.  The
+    graph is checked once, here; the graphs the moves derive from it are
+    not checked again.  The recursion is memoized on adjacency rows in a
+    memo that lives for this call only."""
     _require_loopless(g)
-    return UniPoly(_qn_recursive_rec(g))
+    return prod(map(UniPoly, _per_component(g, _qn_recursive_rec)),
+                start=UniPoly.constant(1))
 
 
-def _qn_recursive_rec(g: SimpleGraph) -> Tuple[int, ...]:
-    key = g.canonical_key()
-    hit = _qn_recursive_memo.get(key)
+def _qn_recursive_rec(g: SimpleGraph, memo: Dict[Rows, Tuple[int, ...]]) -> Tuple[int, ...]:
+    adj = g.adj
+    hit = memo.get(adj)
     if hit is not None:
         return hit
-    edge = _least_edge(g)
-    if edge is None:
-        coeffs: Tuple[int, ...] = (0,) * g.n + (1,)
-    else:
-        v, w = edge
-        a = _qn_recursive_rec(g.delete_vertex(v))
-        b = _qn_recursive_rec(g.pivot(v, w).delete_vertex(w))
-        coeffs = _add_coeffs(a, b)
-    _qn_recursive_memo[key] = coeffs
-    return coeffs
-
-
-def _least_edge(g: SimpleGraph) -> Optional[Tuple[int, int]]:
     # Least v with a neighbor, then its least neighbor w; since the least
     # endpoint is found first, w > v and (v, w) is the lex-least edge.
-    for v in range(g.n):
-        row = g.adj[v]
+    for v, row in enumerate(adj):
         if row:
-            return v, (row & -row).bit_length() - 1
-    return None
+            w = (row & -row).bit_length() - 1
+            a = _qn_recursive_rec(g.delete_vertex(v), memo)
+            b = _qn_recursive_rec(g._pivot_unchecked(v, w).delete_vertex(w), memo)
+            coeffs = _add_coeffs(a, b)
+            break
+    else:
+        coeffs = (0,) * len(adj) + (1,)
+    memo[adj] = coeffs
+    return coeffs
 
 
 def _add_coeffs(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
-    return tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a))
+    return tuple(map(add, a, b)) + a[len(b):]
+
+
+def _per_component(g: SimpleGraph, rec: Callable[[SimpleGraph, dict], object]) -> list:
+    """rec on each connected component of g, relabeled, in order of least
+    vertex, with one memo shared by the components."""
+    memo: dict = {}
+    return [rec(c, memo) for c in g.components()]
 
 
 # -- closed subset sum --------------------------------------------------
@@ -226,28 +223,33 @@ def qn_bouchet(g: SimpleGraph) -> UniPoly:
     """Recursion by local complementations: qn of the empty graph is 1;
     for isolated v, qn(G) = x * qn(G - v); for an edge vw,
     qn(G) = qn(G - v) + qn(lc(lc(lc(G, v), w), v) - v), where lc is
-    local complementation.  Memoized on the exact labeled graph."""
+    local complementation.
+
+    As in qn_recursive, the components are reduced one at a time and
+    multiplied; the graph is checked once, on entry, and the recursion is
+    memoized on adjacency rows with a memo for this call only."""
     _require_loopless(g)
-    return UniPoly(_qn_bouchet_rec(g))
+    return prod(map(UniPoly, _per_component(g, _qn_bouchet_rec)),
+                start=UniPoly.constant(1))
 
 
-def _qn_bouchet_rec(g: SimpleGraph) -> Tuple[int, ...]:
-    if g.n == 0:
+def _qn_bouchet_rec(g: SimpleGraph, memo: Dict[Rows, Tuple[int, ...]]) -> Tuple[int, ...]:
+    adj = g.adj
+    if not adj:
         return (1,)
-    key = g.canonical_key()
-    hit = _qn_bouchet_memo.get(key)
+    hit = memo.get(adj)
     if hit is not None:
         return hit
-    row = g.adj[0]
+    row = adj[0]
     if row == 0:
-        coeffs: Tuple[int, ...] = (0,) + _qn_bouchet_rec(g.delete_vertex(0))
+        coeffs: Tuple[int, ...] = (0,) + _qn_bouchet_rec(g.delete_vertex(0), memo)
     else:
         w = (row & -row).bit_length() - 1
-        a = _qn_bouchet_rec(g.delete_vertex(0))
+        a = _qn_bouchet_rec(g.delete_vertex(0), memo)
         flipped = g.local_complement(0).local_complement(w).local_complement(0)
-        b = _qn_bouchet_rec(flipped.delete_vertex(0))
+        b = _qn_bouchet_rec(flipped.delete_vertex(0), memo)
         coeffs = _add_coeffs(a, b)
-    _qn_bouchet_memo[key] = coeffs
+    memo[adj] = coeffs
     return coeffs
 
 
@@ -300,55 +302,60 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     with G' = pivot(G, a, b).  With no such edge, the least looped
     vertex a gives q2(G) = q2(G - a) + (x-1) * q2(lc(G, a) - a); local
     complementation at a looped vertex flips loops as well.  A graph
-    with neither (edgeless) is the base case y**n."""
-    return _q2_reduction_rec(g)
+    with neither (edgeless) is the base case y**n.
+
+    q2 is multiplicative over disjoint unions, so each connected
+    component is reduced on its own and the results are multiplied.  The
+    graphs the moves derive are not checked again, and the reduction is
+    memoized on adjacency rows in a memo that lives for this call only."""
+    return prod(_per_component(g, _q2_reduction_rec), start=BiPoly.constant(1))
 
 
 _X_MINUS_1 = BiPoly({(1, 0): 1, (0, 0): -1})
 _X_MINUS_1_SQ_MINUS_1 = BiPoly({(2, 0): 1, (1, 0): -2})
 
 
-def _q2_reduction_rec(g: SimpleGraph) -> BiPoly:
-    key = g.canonical_key()
-    hit = _q2_reduction_memo.get(key)
+def _q2_reduction_rec(g: SimpleGraph, memo: Dict[Rows, BiPoly]) -> BiPoly:
+    adj = g.adj
+    hit = memo.get(adj)
     if hit is not None:
         return hit
-    edge = _least_loopless_edge(g)
+    edge = _least_loopless_edge(adj)
     if edge is not None:
         a, b = edge
-        # The pivot endpoints are loop-free; other vertices need not be,
-        # so this goes through the endpoint-checked internal entry.
-        pivoted = g._pivot_unchecked(a, b)
-        minus_b = pivoted.delete_vertex(b)
-        res = (_q2_reduction_rec(g.delete_vertex(a))
-               + _q2_reduction_rec(minus_b)
-               + _X_MINUS_1_SQ_MINUS_1 * _q2_reduction_rec(minus_b.delete_vertex(a)))
+        # a < b, so deleting b leaves a's index unchanged.
+        minus_b = g._pivot_unchecked(a, b).delete_vertex(b)
+        res = (_q2_reduction_rec(g.delete_vertex(a), memo)
+               + _q2_reduction_rec(minus_b, memo)
+               + _X_MINUS_1_SQ_MINUS_1 * _q2_reduction_rec(
+                   minus_b.delete_vertex(a), memo))
     else:
         looped = None
-        for v in range(g.n):
-            if (g.adj[v] >> v) & 1:
+        for v, row in enumerate(adj):
+            if (row >> v) & 1:
                 looped = v
                 break
         if looped is not None:
             a = looped
-            res = (_q2_reduction_rec(g.delete_vertex(a))
-                   + _X_MINUS_1 * _q2_reduction_rec(g.local_complement(a).delete_vertex(a)))
+            res = (_q2_reduction_rec(g.delete_vertex(a), memo)
+                   + _X_MINUS_1 * _q2_reduction_rec(
+                       g.local_complement(a).delete_vertex(a), memo))
         else:
-            res = BiPoly({(0, g.n): 1})
-    _q2_reduction_memo[key] = res
+            res = BiPoly({(0, len(adj)): 1})
+    memo[adj] = res
     return res
 
 
-def _least_loopless_edge(g: SimpleGraph) -> Optional[Tuple[int, int]]:
+def _least_loopless_edge(adj: Rows) -> Optional[Tuple[int, int]]:
     """Lex-least edge ab with neither endpoint looped, as (a, b), a < b."""
     unlooped = 0
-    for v in range(g.n):
-        if not (g.adj[v] >> v) & 1:
+    for v, row in enumerate(adj):
+        if not (row >> v) & 1:
             unlooped |= 1 << v
-    for a in range(g.n):
+    for a, row in enumerate(adj):
         if not (unlooped >> a) & 1:
             continue
-        row = g.adj[a] & unlooped
+        row &= unlooped
         if row:
             # Any qualifying neighbor below a would have been found first.
             return a, (row & -row).bit_length() - 1

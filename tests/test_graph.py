@@ -192,6 +192,11 @@ class TestDeletionAndSubgraphs:
         assert K3.induced_subgraph([0, 2]) == SimpleGraph.from_edges(2, [(0, 1)])
         assert K3.induced_subgraph([]) == SimpleGraph(0)
 
+    def test_components_in_order_of_least_vertex(self):
+        g = SimpleGraph.from_edges(6, [(0, 4), (1, 2), (2, 5), (1, 5)])
+        assert g.components() == [path(2), K3, SimpleGraph(1)]
+        assert SimpleGraph(0).components() == []
+
     def test_adjacency_matrix_has_loop_diagonal(self):
         g = SimpleGraph.from_edges(2, [(0, 0), (0, 1)])
         m = g.adjacency_matrix([0, 1])
@@ -206,11 +211,6 @@ class TestDeletionAndSubgraphs:
 
 
 class TestKeysAndText:
-    def test_canonical_key_separates_graphs(self):
-        seen = {g.canonical_key()
-                for g in (path(3), K3, SimpleGraph(3), path(2))}
-        assert len(seen) == 4
-
     def test_to_text_golden(self):
         assert path(3).to_text() == "3 2\n0 1\n1 2\n"
         assert SimpleGraph(0).to_text() == "0 0\n"

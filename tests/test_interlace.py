@@ -1,14 +1,15 @@
 """Interlace polynomial tests: golden values, agreement of the five
 independent routes, the two-variable forms, caps, and worker plumbing."""
 
+import copy
 import random
 
 import pytest
 
 from interlacepoly import _workers, interlace
 from interlacepoly.graph import SimpleGraph, parse_graph
-from interlacepoly.interlace import (QN_METHODS, SUBSET_SUM_CAP, clear_caches,
-                                     q2_closed, q2_reduction, qn, qn_avdh,
+from interlacepoly.interlace import (QN_METHODS, SUBSET_SUM_CAP, q2_closed,
+                                     q2_reduction, qn, qn_avdh,
                                      qn_bouchet, qn_closed,
                                      qn_closed_reference, qn_from_q2,
                                      qn_isotropic, qn_recursive)
@@ -70,12 +71,19 @@ class TestDispatchAndValidation:
             with pytest.raises(ValueError, match="capped"):
                 fn(big)
 
-    def test_caches_can_be_cleared_and_rebuilt(self):
-        first = qn_recursive(P3)
-        clear_caches()
-        assert qn_recursive(P3) == first
-        assert qn_bouchet(P3) == first
-        assert q2_reduction(P3) == q2_closed(P3)
+    def test_repeated_calls_agree_and_leave_no_module_state(self):
+        def containers():
+            return {k: copy.copy(v) for k, v in vars(interlace).items()
+                    if not k.startswith("__") and isinstance(v, (dict, list, set))}
+
+        before = containers()
+        g = random_simple_graph(9, random.Random(2))
+        first = qn_recursive(g)
+        for _ in range(2):
+            assert qn_recursive(g) == first
+            assert qn_bouchet(g) == first
+            assert q2_reduction(g) == q2_closed(g)
+        assert containers() == before
 
 
 class TestClosedForm:
@@ -113,7 +121,6 @@ class TestTwoVariable:
         assert str(q2_closed(loop)) == "x"
 
     def test_reduction_golden_values(self):
-        clear_caches()
         assert q2_reduction(K2) == q2_closed(K2)
         loop = SimpleGraph(1, [1], loops_allowed=True)
         assert q2_reduction(loop) == q2_closed(loop)

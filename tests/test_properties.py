@@ -1,0 +1,188 @@
+"""Property tests of the recursion kernel: multiplicativity over disjoint
+unions and invariance under relabeling for every recursive route and
+the closed forms, and the row-level moves against set-based versions."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from interlacepoly.graph import (SimpleGraph, component_masks,
+                                 delete_vertex_rows, local_complement_rows,
+                                 pivot_rows)
+from interlacepoly.interlace import (q2_closed, q2_reduction, qn_bouchet,
+                                     qn_closed, qn_recursive)
+
+# derandomize keeps the suite deterministic, so no example database is
+# kept between runs.
+PROPERTY = settings(derandomize=True, database=None, max_examples=60,
+                    deadline=None)
+
+QN_ROUTES = (qn_recursive, qn_bouchet, qn_closed)
+
+
+@st.composite
+def graphs(draw, max_n=6, loops=False):
+    n = draw(st.integers(0, max_n))
+    slots = [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)]
+    picked = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    return SimpleGraph.from_edges(n, [s for s, p in zip(slots, picked) if p],
+                                  loops_allowed=loops)
+
+
+def disjoint_union(g, h):
+    return SimpleGraph(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj),
+                       g.loops_allowed or h.loops_allowed)
+
+
+def relabel(g, perm):
+    return SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()],
+                                  loops_allowed=g.loops_allowed)
+
+
+def graph_and_permutation(loops=False):
+    return graphs(max_n=8, loops=loops).flatmap(
+        lambda g: st.tuples(st.just(g), st.permutations(range(g.n))))
+
+
+EMPTY = SimpleGraph(0)
+ISOLATED = SimpleGraph(3)
+K2 = SimpleGraph.from_edges(2, [(0, 1)])
+
+
+class TestMultiplicativity:
+    @PROPERTY
+    @given(graphs(), graphs())
+    @example(EMPTY, EMPTY)
+    @example(EMPTY, K2)
+    @example(ISOLATED, K2)
+    @example(K2, ISOLATED)
+    def test_qn(self, g, h):
+        union = disjoint_union(g, h)
+        for fn in QN_ROUTES:
+            assert fn(union) == fn(g) * fn(h), fn.__name__
+        assert qn_recursive(union) == qn_closed(union)
+
+    @PROPERTY
+    @given(graphs(loops=True), graphs(loops=True))
+    @example(EMPTY, EMPTY)
+    @example(EMPTY, SimpleGraph(1, [1], loops_allowed=True))
+    @example(ISOLATED, SimpleGraph.from_edges(2, [(0, 0), (0, 1)]))
+    def test_q2(self, g, h):
+        union = disjoint_union(g, h)
+        for fn in (q2_reduction, q2_closed):
+            assert fn(union) == fn(g) * fn(h), fn.__name__
+        assert q2_reduction(union) == q2_closed(union)
+
+
+class TestRelabeling:
+    @PROPERTY
+    @given(graph_and_permutation())
+    def test_qn(self, gp):
+        g, perm = gp
+        h = relabel(g, perm)
+        for fn in QN_ROUTES:
+            assert fn(h) == fn(g), fn.__name__
+
+    @PROPERTY
+    @given(graph_and_permutation(loops=True))
+    def test_q2(self, gp):
+        g, perm = gp
+        h = relabel(g, perm)
+        assert q2_reduction(h) == q2_reduction(g) == q2_closed(h)
+
+
+# -- row-level moves against set-based versions ---------------------------
+
+
+def edge_set(g):
+    return {frozenset(e) for e in g.edges()}
+
+
+def rows_edge_set(adj):
+    return edge_set(SimpleGraph(len(adj), adj, loops_allowed=True))
+
+
+def neighbors(edges, v):
+    return {u for e in edges if v in e for u in e if u != v or len(e) == 1}
+
+
+def set_pivot(edges, v, w):
+    nv, nw = neighbors(edges, v) - {v, w}, neighbors(edges, w) - {v, w}
+    classes = (nv - nw, nw - nv, nv & nw)
+    out = set(edges)
+    for i, a in enumerate(classes):
+        for b in classes[i + 1:]:
+            out ^= {frozenset((x, y)) for x in a for y in b}
+    return out
+
+
+def set_local_complement(edges, v):
+    nv = neighbors(edges, v)
+    out = set(edges) ^ {frozenset((x, y)) for x in nv for y in nv if x != y}
+    if v in nv:  # a looped v flips every neighbor's loop, its own included
+        out ^= {frozenset((x,)) for x in nv}
+    return out
+
+
+class TestRowMoves:
+    @PROPERTY
+    @given(graphs(max_n=8, loops=True), st.data())
+    def test_pivot_matches_set_version(self, g, data):
+        unlooped = [(u, v) for u, v in g.edges() if u != v
+                    and not g.has_edge(u, u) and not g.has_edge(v, v)]
+        if not unlooped:
+            return
+        v, w = data.draw(st.sampled_from(unlooped))
+        assert rows_edge_set(pivot_rows(g.adj, v, w)) == set_pivot(edge_set(g), v, w)
+
+    @PROPERTY
+    @given(graphs(max_n=8, loops=True))
+    @example(SimpleGraph(1, [1], loops_allowed=True))
+    @example(SimpleGraph.from_edges(3, [(0, 0), (0, 1), (0, 2), (1, 1)]))
+    def test_local_complement_matches_set_version(self, g):
+        for v in range(g.n):
+            assert (rows_edge_set(local_complement_rows(g.adj, v))
+                    == set_local_complement(edge_set(g), v))
+
+    @PROPERTY
+    @given(graphs(max_n=8, loops=True), st.data())
+    def test_delete_matches_set_version(self, g, data):
+        if not g.n:
+            return
+        v = data.draw(st.integers(0, g.n - 1))
+        shift = {u: u - (u > v) for u in range(g.n) if u != v}
+        want = {frozenset(shift[u] for u in e) for e in edge_set(g) if v not in e}
+        assert rows_edge_set(delete_vertex_rows(g.adj, v)) == want
+
+    @PROPERTY
+    @given(graphs(max_n=8, loops=True))
+    def test_components_partition_the_vertices(self, g):
+        masks = component_masks(g.adj)
+        assert sum(masks) == (1 << g.n) - 1
+        assert all(a & b == 0 for i, a in enumerate(masks) for b in masks[i + 1:])
+        for m in masks:
+            # closed under adjacency, and connected: grown from its least
+            # vertex through edges inside it, it reaches all of itself
+            assert all(g.adj[v] & ~m == 0 for v in range(g.n) if (m >> v) & 1)
+            reach = m & -m
+            for _ in range(g.n):
+                for v in range(g.n):
+                    if (reach >> v) & 1:
+                        reach |= g.adj[v]
+            assert reach == m
+
+
+class TestDerivedGraphs:
+    @PROPERTY
+    @given(graphs(max_n=8, loops=True))
+    @example(SimpleGraph.from_edges(3, [(0, 0), (0, 1), (0, 2), (1, 1)]))
+    def test_moves_yield_graphs_that_pass_the_constructor_checks(self, g):
+        # The moves build their results without the constructor's checks.
+        derived = [g.delete_vertex(v) for v in range(g.n)]
+        derived += [g.local_complement(v) for v in range(g.n)]
+        derived += [g._pivot_unchecked(u, v) for u, v in g.edges() if u != v
+                    and not g.has_edge(u, u) and not g.has_edge(v, v)]
+        derived += g.components()
+        for h in derived:
+            assert type(h.adj) is tuple
+            assert SimpleGraph(h.n, h.adj, h.loops_allowed) == h
+
