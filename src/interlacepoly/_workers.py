@@ -1,9 +1,11 @@
-"""Worker-count resolution shared by the parallel subset sums."""
+"""Worker-count resolution and the process-pool sharding shared by the
+parallel subset sums."""
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, List, Optional, Sequence
 
 WORKERS_ENV = "INTERLACEPOLY_WORKERS"
 
@@ -32,3 +34,22 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
+
+
+def sum_histograms(kernel: Callable[..., List[int]], args: Sequence,
+                   units: int, n: int, workers: Optional[int]) -> List[int]:
+    """Elementwise sum of kernel(*args, start, stop) over ranges that
+    split the work units [0, units), for a problem of size n.
+
+    In this process below PARALLEL_THRESHOLD or with one process; else
+    about four ranges per process, since unit costs vary along the range.
+    The pool starts all its processes at the first submit, so it starts
+    min(requested workers, available parallelism, ranges) of them."""
+    procs = min(resolve_workers(workers), available_parallelism())
+    if procs <= 1 or n < PARALLEL_THRESHOLD:
+        return kernel(*args, 0, units)
+    step = max(1, units // (procs * 4))
+    ranges = [(start, min(start + step, units)) for start in range(0, units, step)]
+    with ProcessPoolExecutor(max_workers=min(procs, len(ranges))) as pool:
+        jobs = [pool.submit(kernel, *args, start, stop) for start, stop in ranges]
+        return [sum(col) for col in zip(*(job.result() for job in jobs))]

@@ -2,8 +2,8 @@
 
 Inputs are file paths, "-" for the standard input stream, or (when the
 argument is not an existing file and contains whitespace) the literal
-text itself.  Exit codes: 0 success, 1 input error, 2 verification
-failure.
+text itself.  Exit codes: 0 success, 1 input error, worker crash or
+interrupt, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -35,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="interlacepoly",
         description="Interlace, Tutte-Martin, and circuit partition polynomials.",
         epilog=f"The {WORKERS_ENV} environment variable sets the worker count "
-               "for the large subset sums (default: available parallelism).")
+               "for the large subset sums (default: available parallelism); "
+               "no more processes than the available parallelism are started.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name: str, help_: str, func, graph_input: bool = True):
@@ -188,6 +190,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (BrokenExecutor, KeyboardInterrupt) as err:
+        print(f"error: {str(err) or 'interrupted'}", file=sys.stderr)
         return 1
 
 

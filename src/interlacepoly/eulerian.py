@@ -18,10 +18,9 @@ polynomial that the circuit partition polynomial factors through.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._workers import PARALLEL_THRESHOLD, resolve_workers
+from ._workers import sum_histograms
 from .graph import MAX_VERTICES, SimpleGraph, _header_and_pairs
 from .interlace import qn_closed
 from .poly import UniPoly
@@ -178,28 +177,17 @@ def _component_histogram(heads, in_slot, outs, m, start, stop) -> List[int]:
 def circuit_partition_poly(d: EulerianDigraph,
                            workers: Optional[int] = None) -> UniPoly:
     """f(d;x) = sum over k of (number of states with k cycles) * x^k.
-    The edgeless digraph yields the constant 1 by convention."""
+    The edgeless digraph yields the constant 1 by convention.  From n = 16
+    on it runs in a pool of `workers` processes, resolved and capped as
+    in interlace.qn."""
     if not d.edges:
         return UniPoly((1,))
     _require_valid(d)
     _require_state_size(d.n)
     heads, in_slot, outs = _transition_tables(d)
     m = len(d.edges)
-    total = 1 << d.n
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or d.n < PARALLEL_THRESHOLD:
-        hist = _component_histogram(heads, in_slot, outs, m, 0, total)
-    else:
-        step = max(1, total // (nworkers * 4))
-        hist = [0] * (m + 1)
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            jobs = [pool.submit(_component_histogram, heads, in_slot, outs, m,
-                                start, min(start + step, total))
-                    for start in range(0, total, step)]
-            for job in jobs:
-                for k, c in enumerate(job.result()):
-                    hist[k] += c
-    return UniPoly(hist)
+    return UniPoly(sum_histograms(_component_histogram, (heads, in_slot, outs, m),
+                                  1 << d.n, d.n, workers))
 
 
 def martin_poly(d: EulerianDigraph, workers: Optional[int] = None) -> UniPoly:

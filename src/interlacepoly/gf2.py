@@ -7,7 +7,7 @@ makes rank computation cheap enough to sit inside 2^n subset sums.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Sequence
 
 
 class GF2Matrix:
@@ -129,3 +129,19 @@ def stack_rank(a: GF2Matrix, b: GF2Matrix) -> int:
     if a.cols != b.cols:
         raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
     return _eliminate(a.data + b.data, a.cols)
+
+
+def reduce_by_pivots(row: int, piv: Dict[int, int]) -> int:
+    """Reduce `row` against an echelon basis kept as a map from leading
+    bit position (`bit_length()`) to the basis row that leads there.
+
+    Returns 0 if `row` lies in the span of the basis; otherwise a
+    nonzero remainder whose leading bit no basis row has, so that
+    `piv[r.bit_length()] = r` extends the basis.  `piv` is not changed.
+    """
+    while row:
+        p = piv.get(row.bit_length())
+        if p is None:
+            return row
+        row ^= p
+    return 0

@@ -16,13 +16,12 @@ x=2 specialization.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from math import comb, prod
 from operator import add
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ._workers import PARALLEL_THRESHOLD, resolve_workers
-from .gf2 import rank
+from ._workers import sum_histograms
+from .gf2 import rank, reduce_by_pivots
 from .graph import Rows, SimpleGraph
 from .poly import BiPoly, UniPoly, poly_from_shift_counts
 
@@ -40,7 +39,7 @@ def qn(g: SimpleGraph, method: str = "closed",
         method: one of QN_METHODS.
         workers: process count for the closed method (default: the
             INTERLACEPOLY_WORKERS environment variable, else the
-            machine's available parallelism).
+            machine's available parallelism, which also caps it).
 
     Returns:
         UniPoly in x with nonnegative integer coefficients.
@@ -114,10 +113,16 @@ def _per_component(g: SimpleGraph, rec: Callable[[SimpleGraph, dict], object]) -
 
 def qn_closed(g: SimpleGraph, workers: Optional[int] = None) -> UniPoly:
     """Sum of (x-1)**(|W| - rank(A[W])) over all vertex subsets W, the
-    rank taken over GF(2) of the induced adjacency submatrix."""
+    rank taken over GF(2) of the induced adjacency submatrix: the nullity
+    marginal of the rank profile.  From n = 16 on it runs in a pool of
+    `workers` processes, resolved and capped as in qn."""
     _require_loopless(g)
     _require_subset_size(g.n)
-    counts = _nullity_distribution(g.adj, g.n, resolve_workers(workers))
+    n = g.n
+    profile = sum_histograms(_rank_profile, (g.adj, n), 1 << n, n, workers)
+    counts = [0] * (n + 1)
+    for _, nullity, c in _profile_entries(profile, n):
+        counts[nullity] += c
     return poly_from_shift_counts(counts)
 
 
@@ -135,25 +140,10 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
     return acc
 
 
-def _nullity_distribution(adj: Tuple[int, ...], n: int, workers: int) -> List[int]:
-    total = 1 << n
-    if workers <= 1 or n < PARALLEL_THRESHOLD:
-        return _nullity_counts(adj, n, 0, total)
-    # Contiguous ranges are prefixes on the high subset bits; several
-    # chunks per worker since low ranges hold the sparser subsets.
-    step = max(1, total // (workers * 4))
-    counts = [0] * (n + 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        jobs = [pool.submit(_nullity_counts, adj, n, start, min(start + step, total))
-                for start in range(0, total, step)]
-        for job in jobs:
-            for k, c in enumerate(job.result()):
-                counts[k] += c
-    return counts
-
-
-def _nullity_counts(adj: Tuple[int, ...], n: int, start: int, stop: int) -> List[int]:
-    counts = [0] * (n + 1)
+def _rank_profile(adj: Tuple[int, ...], n: int, start: int, stop: int) -> List[int]:
+    """Histogram of (rank of A[W] over GF(2), |W|) over the vertex
+    subsets W with bitmask in [start, stop), flat at rank*(n+1) + |W|."""
+    hist = [0] * ((n + 1) * (n + 1))
     for m in range(start, stop):
         rank_ = 0
         piv: Dict[int, int] = {}
@@ -162,6 +152,7 @@ def _nullity_counts(adj: Tuple[int, ...], n: int, start: int, stop: int) -> List
             v = (w & -w).bit_length() - 1
             w &= w - 1
             r = adj[v] & m
+            # reduce_by_pivots inlined: a call per row costs ~19% at n=16.
             while r:
                 h = r.bit_length()
                 p = piv.get(h)
@@ -170,8 +161,16 @@ def _nullity_counts(adj: Tuple[int, ...], n: int, start: int, stop: int) -> List
                     rank_ += 1
                     break
                 r ^= p
-        counts[m.bit_count() - rank_] += 1
-    return counts
+        hist[rank_ * (n + 1) + m.bit_count()] += 1
+    return hist
+
+
+def _profile_entries(profile: List[int], n: int) -> Iterator[Tuple[int, int, int]]:
+    """(rank, nullity, count) for each nonzero entry of a rank profile."""
+    for i, c in enumerate(profile):
+        if c:
+            r, size = divmod(i, n + 1)
+            yield r, size - r, c
 
 
 # -- column-choice sum --------------------------------------------------
@@ -197,13 +196,7 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
             counts[n - rank_] += 1
             return
         for vec in (adj[i], 1 << i):
-            r = vec
-            while r:
-                h = r.bit_length()
-                p = piv.get(h)
-                if p is None:
-                    break
-                r ^= p
+            r = reduce_by_pivots(vec, piv)
             if r:
                 h = r.bit_length()
                 piv[h] = r
@@ -269,30 +262,10 @@ def qn_isotropic(g: SimpleGraph) -> UniPoly:
 def q2_closed(g: SimpleGraph) -> BiPoly:
     """Sum of (x-1)**rank * (y-1)**nullity over all vertex subsets W,
     rank and nullity of the induced adjacency submatrix over GF(2).
-    Loops contribute diagonal ones."""
+    Loops contribute diagonal ones.  Expands the rank profile whose
+    nullity marginal is qn_closed, in this process."""
     _require_subset_size(g.n)
-    n = g.n
-    adj = g.adj
-    counts: Dict[Tuple[int, int], int] = {}
-    for m in range(1 << n):
-        rank_ = 0
-        piv: Dict[int, int] = {}
-        w = m
-        while w:
-            v = (w & -w).bit_length() - 1
-            w &= w - 1
-            r = adj[v] & m
-            while r:
-                h = r.bit_length()
-                p = piv.get(h)
-                if p is None:
-                    piv[h] = r
-                    rank_ += 1
-                    break
-                r ^= p
-        key = (rank_, m.bit_count() - rank_)
-        counts[key] = counts.get(key, 0) + 1
-    return _bipoly_from_rank_counts(counts)
+    return _bipoly_from_rank_counts(_rank_profile(g.adj, g.n, 0, 1 << g.n), g.n)
 
 
 def q2_reduction(g: SimpleGraph) -> BiPoly:
@@ -383,15 +356,15 @@ def _require_subset_size(n: int) -> None:
             f"subset-sum methods are capped at {SUBSET_SUM_CAP} vertices, got {n}")
 
 
-def _bipoly_from_rank_counts(counts: Dict[Tuple[int, int], int],
-                             vars: Tuple[str, str] = ("x", "y")) -> BiPoly:
-    """Expand sum over (r, u) of counts[(r, u)] * (x-1)**r * (y-1)**u."""
+def _bipoly_from_rank_counts(profile: List[int], n: int) -> BiPoly:
+    """Expand the sum over the profile's (rank r, nullity u, count c) of
+    c * (x-1)**r * (y-1)**u."""
     terms: Dict[Tuple[int, int], int] = {}
-    for (r, u), c in counts.items():
+    for r, u, c in _profile_entries(profile, n):
         for i in range(r + 1):
             ci = c * comb(r, i) * (-1) ** (r - i)
             for j in range(u + 1):
                 cij = ci * comb(u, j) * (-1) ** (u - j)
                 if cij:
                     terms[(i, j)] = terms.get((i, j), 0) + cij
-    return BiPoly(terms, vars)
+    return BiPoly(terms)

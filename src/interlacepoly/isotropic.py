@@ -15,11 +15,10 @@ L_v = A({v}) + B(N(v)) for a presentation pair (A, B).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._workers import PARALLEL_THRESHOLD, resolve_workers
-from .gf2 import GF2Matrix, rank, stack_rank
+from ._workers import sum_histograms
+from .gf2 import GF2Matrix, rank, reduce_by_pivots, stack_rank
 from .graph import SimpleGraph
 from .poly import UniPoly, poly_from_shift_counts
 
@@ -168,7 +167,7 @@ class IsotropicSystem:
                     raise ValueError(f"basis vectors {i} and {j} are not orthogonal")
         piv: Dict[int, int] = {}
         for i, vec in enumerate(basis):
-            r = _reduce(vec.flattened(), piv)
+            r = reduce_by_pivots(vec.flattened(), piv)
             if not r:
                 raise ValueError(f"basis vector {i} is dependent on the others")
             piv[r.bit_length()] = r
@@ -180,17 +179,6 @@ class IsotropicSystem:
 
     def __repr__(self) -> str:
         return f"IsotropicSystem([{', '.join(str(v) for v in self.basis)}])"
-
-
-def _reduce(vec: int, piv: Dict[int, int]) -> int:
-    r = vec
-    while r:
-        h = r.bit_length()
-        p = piv.get(h)
-        if p is None:
-            return r
-        r ^= p
-    return 0
 
 
 # -- graphic systems --------------------------------------------------------
@@ -277,7 +265,8 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector,
     Enumerated by a choice per position between the two admitted Klein
     values (smaller code first), with a shared elimination state of the
     L-basis extended and popped along the way; dim follows from the
-    rank formula without recomputing intersections.
+    rank formula without recomputing intersections.  From n = 16 on it
+    runs in a pool of `workers` processes, resolved and capped as in qn.
     """
     if comp.n != system.n:
         raise ValueError("length mismatch")
@@ -290,37 +279,21 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector,
     choices = tuple(
         tuple(c for c in (K_X, K_Y, K_Z) if c != comp.code(v))
         for v in range(n))
-    flat = system.flattened_basis()
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or n < PARALLEL_THRESHOLD:
-        counts = _tm_counts(flat, choices, n, 0, 0)
-    else:
-        # Fix the first k choices per job; each job runs the remaining DFS.
-        k = min(n, max(1, (nworkers * 4 - 1).bit_length()))
-        counts = [0] * (n + 1)
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            jobs = [pool.submit(_tm_counts, flat, choices, n, prefix, k)
-                    for prefix in range(1 << k)]
-            for job in jobs:
-                for e, c in enumerate(job.result()):
-                    counts[e] += c
+    k = min(n, 5)  # 2**k work units: four ranges each for up to 8 processes
+    counts = sum_histograms(_tm_counts, (system.flattened_basis(), choices, n, k),
+                            1 << k, n, workers)
     return poly_from_shift_counts(counts)
 
 
 def _tm_counts(flat_basis: Tuple[int, ...],
                choices: Tuple[Tuple[int, int], ...],
-               n: int, prefix: int, k: int) -> List[int]:
+               n: int, k: int, start: int, stop: int) -> List[int]:
+    """Histogram of dim(L meet F-hat) over the F whose choices at the
+    first k positions, read as the bits of a prefix, lie in [start, stop)."""
     piv: Dict[int, int] = {}
     for vec in flat_basis:
-        r = _reduce(vec, piv)
+        r = reduce_by_pivots(vec, piv)
         piv[r.bit_length()] = r  # basis is independent by construction
-    added0 = 0
-    for v in range(k):
-        code = choices[v][(prefix >> v) & 1]
-        r = _reduce(code << (2 * v), piv)
-        if r:
-            piv[r.bit_length()] = r
-            added0 += 1
     counts = [0] * (n + 1)
 
     def go(v: int, added: int) -> None:
@@ -329,7 +302,7 @@ def _tm_counts(flat_basis: Tuple[int, ...],
             counts[n - added] += 1
             return
         for code in choices[v]:
-            r = _reduce(code << (2 * v), piv)
+            r = reduce_by_pivots(code << (2 * v), piv)
             if r:
                 h = r.bit_length()
                 piv[h] = r
@@ -338,7 +311,16 @@ def _tm_counts(flat_basis: Tuple[int, ...],
             else:
                 go(v + 1, added)
 
-    go(k, added0)
+    for prefix in range(start, stop):
+        fixed = []
+        for v in range(k):
+            r = reduce_by_pivots(choices[v][(prefix >> v) & 1] << (2 * v), piv)
+            if r:
+                piv[r.bit_length()] = r
+                fixed.append(r.bit_length())
+        go(k, len(fixed))
+        for h in fixed:
+            del piv[h]
     return counts
 
 

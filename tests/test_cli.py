@@ -5,10 +5,11 @@ import io
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from interlacepoly import cli, verify
+from interlacepoly import cli, interlace, verify
 
 P3_TEXT = "3 2\n0 1\n1 2\n"
 TWO_LOOP_TEXT = "1 2\n0 0\n0 0\n"
@@ -194,6 +195,16 @@ class TestParserContract:
         monkeypatch.setattr(sys, "argv", ["interlacepoly", "qn", "2 1 0 1"])
         assert cli.main() == 0
         assert capsys.readouterr().out == "2*x\n"
+
+    @pytest.mark.parametrize("exc", [BrokenProcessPool("a worker died"),
+                                     KeyboardInterrupt()],
+                             ids=["worker-crash", "interrupt"])
+    def test_failure_is_one_error_line(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(interlace, "qn_closed", fail)
+        err = run_err(capsys, ["qn", P3_TEXT])
+        assert err.count("\n") == 1
 
     def test_console_script_round_trip(self):
         proc = subprocess.run(

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from interlacepoly.gf2 import GF2Matrix, corank, nullity, rank, stack_rank
+from interlacepoly.gf2 import (GF2Matrix, corank, nullity, rank,
+                               reduce_by_pivots, stack_rank)
 
 
 def span(rows):
@@ -152,3 +153,28 @@ class TestStackRank:
             meet = span(da) & span(db)
             expected = rank(a) + rank(b) - (len(meet) - 1).bit_length()
             assert stack_rank(a, b) == expected
+
+
+class TestReduceByPivots:
+    BASIS = {4: 0b1011, 3: 0b0110, 1: 0b0001}
+
+    def test_row_in_span_reduces_to_zero(self):
+        assert reduce_by_pivots(0b1011 ^ 0b0110 ^ 0b0001, self.BASIS) == 0
+
+    def test_independent_row_keeps_leading_bit(self):
+        assert reduce_by_pivots(0b0010, self.BASIS) == 0b0010
+        # Leading bit 4 is taken, so the remainder leads at a free bit.
+        assert reduce_by_pivots(0b1001, self.BASIS) == 0b0010
+
+    def test_builds_a_basis_of_the_span(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            rows = [rng.randrange(1 << 8) for _ in range(rng.randrange(8))]
+            piv = {}
+            for row in rows:
+                r = reduce_by_pivots(row, piv)
+                assert (r == 0) == (row in span(piv.values()))
+                if r:
+                    assert r.bit_length() not in piv
+                    piv[r.bit_length()] = r
+            assert len(piv) == rank_oracle(rows)

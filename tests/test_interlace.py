@@ -146,6 +146,11 @@ class TestTwoVariable:
             for g in all_simple_graphs(n):
                 assert qn_from_q2(g) == qn_closed(g).with_var("y")
 
+    def test_q2_serial_and_qn_pooled_share_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(_workers, "available_parallelism", lambda: 2)
+        g = random_simple_graph(_workers.PARALLEL_THRESHOLD, random.Random(4))
+        assert q2_closed(g).eval_at(2) == qn_closed(g, workers=2).with_var("y")
+
 
 class TestWorkerResolution:
     def test_explicit_argument_wins(self, monkeypatch):
