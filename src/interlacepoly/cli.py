@@ -2,8 +2,8 @@
 
 Inputs are file paths, "-" for the standard input stream, or (when the
 argument is not an existing file and contains whitespace) the literal
-text itself.  Exit codes: 0 success, 1 input error, worker crash or
-interrupt, 2 verification failure.
+text itself.  Exit codes: 0 success, 1 input error, worker crash,
+interrupt, exhausted memory or recursion depth, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -157,10 +157,10 @@ def _cmd_circle(args) -> int:
     try:
         d = eulerian.parse_digraph(text)
     except ValueError:
-        cd = eulerian.parse_chord_word(text)
+        h = eulerian.circle_graph(eulerian.parse_chord_word(text))
     else:
-        cd = eulerian.chord_diagram_from_circuit(eulerian.euler_circuit(d))
-    _emit_graph(eulerian.circle_graph(cd), args.output)
+        h = eulerian.digraph_circle_graph(d)
+    _emit_graph(h, args.output)
     return 0
 
 
@@ -191,8 +191,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (BrokenExecutor, KeyboardInterrupt) as err:
-        print(f"error: {str(err) or 'interrupted'}", file=sys.stderr)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except (BrokenExecutor, RecursionError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 
 

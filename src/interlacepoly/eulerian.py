@@ -13,6 +13,8 @@ An Euler circuit visits every vertex exactly twice, so writing the
 visit order around a circle gives a chord diagram; its circle graph
 (chords as vertices, crossings as edges) carries the interlace
 polynomial that the circuit partition polynomial factors through.
+circuit_partition_poly enumerates the states; martin_poly takes the
+interlace polynomial of the circle graph instead.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from __future__ import annotations
 import random
 from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import interlace
 from ._workers import sum_histograms
 from .graph import MAX_VERTICES, SimpleGraph, _header_and_pairs
-from .interlace import qn_closed
 from .poly import UniPoly
 
 # State enumeration visits 2**n pairing choices.
 EULERIAN_STATE_CAP = 24
+# The Martin polynomial recurses on a circle graph with one vertex per
+# digraph vertex; a vertex-count bound until routes are capped by cost.
+MARTIN_CAP = 24
 
 
 class EulerianDigraph:
@@ -190,18 +195,26 @@ def circuit_partition_poly(d: EulerianDigraph,
                                   1 << d.n, d.n, workers))
 
 
-def martin_poly(d: EulerianDigraph, workers: Optional[int] = None) -> UniPoly:
-    """m(d;x), from f(d;x) = x * m(d;x+1): divide f by its variable,
-    then shift the variable down by one.
+def martin_poly(d: EulerianDigraph) -> UniPoly:
+    """m(d;x) = qn(H;x), H the circle graph of an Euler circuit of d.
+
+    Theorem A gives f(d;x) = x * qn(H;x+1), and f(d;x) = x * m(d;x+1)
+    defines m, so m is the interlace polynomial of H, computed here by
+    the pivot-and-delete recursion in one process.  It does not touch
+    the 2**n transition states, so circuit_partition_poly stays an
+    independent route to the same polynomial.
 
     Raises:
-        ValueError: if the digraph is invalid or has no edges (the
-            division has a nonzero remainder exactly in those cases).
+        ValueError: if the digraph is invalid, has no edges, or has more
+            than MARTIN_CAP vertices.
     """
     if not d.edges:
         raise ValueError("the Martin polynomial needs at least one edge")
-    f = circuit_partition_poly(d, workers=workers)
-    return f.divide_by_var().substitute(-1)
+    h = digraph_circle_graph(d)
+    if d.n > MARTIN_CAP:
+        raise ValueError(
+            f"the Martin polynomial is capped at {MARTIN_CAP} vertices, got {d.n}")
+    return interlace.qn_recursive(h)
 
 
 # -- Euler circuits and chord diagrams ---------------------------------------
@@ -313,6 +326,15 @@ def circle_graph(cd: ChordDiagram) -> SimpleGraph:
     return SimpleGraph.from_edges(len(order), edges)
 
 
+def digraph_circle_graph(d: EulerianDigraph) -> SimpleGraph:
+    """The circle graph of the chord diagram of euler_circuit(d).
+
+    Raises:
+        ValueError: if the digraph is invalid or has no edges.
+    """
+    return circle_graph(chord_diagram_from_circuit(euler_circuit(d)))
+
+
 # -- the bridge to the interlace polynomial ----------------------------------
 
 
@@ -323,9 +345,8 @@ def verify_theorem_A(d: EulerianDigraph) -> bool:
     if not d.edges:
         raise ValueError("the identity needs at least one edge")
     f = circuit_partition_poly(d)
-    h = circle_graph(chord_diagram_from_circuit(euler_circuit(d)))
-    rhs = UniPoly.variable() * qn_closed(h).substitute(1)
-    return f == rhs
+    h = digraph_circle_graph(d)
+    return f == UniPoly.variable() * interlace.qn_closed(h).substitute(1)
 
 
 def enumerate_euler_circuits(d: EulerianDigraph) -> Iterator[Tuple[int, ...]]:
@@ -371,7 +392,7 @@ def verify_theorem_A_all_circuits(d: EulerianDigraph) -> bool:
     x = UniPoly.variable()
     for visits in enumerate_euler_circuits(d):
         h = circle_graph(chord_diagram_from_circuit(visits))
-        if f != x * qn_closed(h).substitute(1):
+        if f != x * interlace.qn_closed(h).substitute(1):
             return False
     return True
 

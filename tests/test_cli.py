@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from interlacepoly import cli, interlace, verify
+from interlacepoly import cli, eulerian, interlace, verify
 
 P3_TEXT = "3 2\n0 1\n1 2\n"
 TWO_LOOP_TEXT = "1 2\n0 0\n0 0\n"
@@ -134,6 +134,11 @@ class TestDigraphCommands:
         err = run_err(capsys, ["cpp", "2 2 0 1 1 0"])
         assert "in-degree" in err
 
+    def test_martin_cap_is_an_input_error(self, capsys):
+        d = eulerian.random_eulerian_digraph(eulerian.MARTIN_CAP + 1, 0)
+        err = run_err(capsys, ["martin", d.to_text()])
+        assert err.count("\n") == 1 and "capped" in err
+
     def test_circle_from_digraph(self, capsys):
         out = run_ok(capsys, ["circle", "2 4 0 1 0 1 1 0 1 0"])
         assert out == "2 1\n0 1\n"
@@ -205,6 +210,16 @@ class TestParserContract:
         monkeypatch.setattr(interlace, "qn_closed", fail)
         err = run_err(capsys, ["qn", P3_TEXT])
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc, message", [
+        (RecursionError("maximum recursion depth exceeded"), "recursion depth"),
+        (MemoryError(), "out of memory")], ids=["recursion", "memory"])
+    def test_exhaustion_is_one_error_line(self, capsys, monkeypatch, exc, message):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(interlace, "qn_recursive", fail)
+        err = run_err(capsys, ["martin", TWO_LOOP_TEXT])
+        assert err.count("\n") == 1 and message in err
 
     def test_console_script_round_trip(self):
         proc = subprocess.run(

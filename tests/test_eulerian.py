@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from interlacepoly.eulerian import (EULERIAN_STATE_CAP, ChordDiagram,
+from interlacepoly import eulerian
+from interlacepoly.eulerian import (EULERIAN_STATE_CAP, MARTIN_CAP, ChordDiagram,
                                     EulerianDigraph, GraphState,
                                     chord_diagram_from_circuit, circle_graph,
                                     circuit_partition_poly,
@@ -17,6 +18,7 @@ from interlacepoly.eulerian import (EULERIAN_STATE_CAP, ChordDiagram,
                                     verify_theorem_A,
                                     verify_theorem_A_all_circuits)
 from interlacepoly.graph import SimpleGraph
+from interlacepoly.interlace import qn_closed
 from interlacepoly.poly import UniPoly
 
 TWO_LOOPS = EulerianDigraph(1, [(0, 0), (0, 0)])
@@ -146,6 +148,29 @@ class TestMartin:
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError, match="at least one edge"):
             martin_poly(EulerianDigraph(0, []))
+
+    def test_invalid_digraph_rejected(self):
+        with pytest.raises(ValueError, match="in-degree"):
+            martin_poly(EulerianDigraph(2, [(0, 1), (1, 0)]))
+
+    def test_cap(self):
+        d = random_eulerian_digraph(MARTIN_CAP + 1, 0)
+        with pytest.raises(ValueError, match="capped") as info:
+            martin_poly(d)
+        assert "state" not in str(info.value)
+
+    def test_does_not_enumerate_states(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("martin_poly enumerated the states")
+        monkeypatch.setattr(eulerian, "circuit_partition_poly", fail)
+        monkeypatch.setattr(eulerian, "_component_histogram", fail)
+        assert str(martin_poly(DOUBLED_2CYCLE)) == "2*x"
+
+    def test_is_qn_of_the_circle_graph(self):
+        d = random_eulerian_digraph(12, 3)
+        h = circle_graph(chord_diagram_from_circuit(euler_circuit(d)))
+        assert eulerian.digraph_circle_graph(d) == h
+        assert martin_poly(d) == qn_closed(h)
 
     def test_round_trip_recovers_the_partition_polynomial(self):
         rng = random.Random(20)

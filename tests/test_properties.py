@@ -1,10 +1,13 @@
 """Property tests of the recursion kernel: multiplicativity over disjoint
 unions and invariance under relabeling for every recursive route and
-the closed forms, and the row-level moves against set-based versions."""
+the closed forms, the row-level moves against set-based versions, and
+the Martin polynomial through the circle graph against the states."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from interlacepoly.eulerian import (EulerianDigraph, circuit_partition_poly,
+                                    martin_poly)
 from interlacepoly.graph import (SimpleGraph, component_masks,
                                  delete_vertex_rows, local_complement_rows,
                                  pivot_rows)
@@ -186,3 +189,37 @@ class TestDerivedGraphs:
             assert type(h.adj) is tuple
             assert SimpleGraph(h.n, h.adj, h.loops_allowed) == h
 
+
+# -- the Martin polynomial: circle graph against transition states -----------
+
+
+@st.composite
+def walk_digraphs(draw, max_n=9):
+    """The 2-in-2-out digraph of a closed walk that visits each of n
+    vertices twice; repeated steps give loops and parallel edges."""
+    n = draw(st.integers(1, max_n))
+    walk = draw(st.permutations(list(range(n)) * 2))
+    return EulerianDigraph(n, [(walk[i], walk[(i + 1) % len(walk)])
+                               for i in range(len(walk))])
+
+
+class TestMartinBridge:
+    @PROPERTY
+    @given(walk_digraphs())
+    @example(EulerianDigraph(1, [(0, 0), (0, 0)]))
+    @example(EulerianDigraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)]))
+    def test_matches_the_state_enumeration(self, d):
+        f = circuit_partition_poly(d, workers=1)
+        assert martin_poly(d) == f.divide_by_var().substitute(-1)
+
+    @PROPERTY
+    @given(walk_digraphs().flatmap(lambda d: st.tuples(
+        st.just(d), st.permutations(range(d.n)),
+        st.permutations(range(len(d.edges))))))
+    def test_relabeling_invariance(self, dpq):
+        # Relabeling the vertices and reordering the edges changes the
+        # Euler circuit, and so the circle graph, but not m.
+        d, perm, order = dpq
+        h = EulerianDigraph(d.n, [(perm[d.edges[e][0]], perm[d.edges[e][1]])
+                                  for e in order])
+        assert martin_poly(h) == martin_poly(d)
