@@ -6,21 +6,15 @@ cross-validate each other."""
 from .eulerian import (
     ChordDiagram,
     EulerianDigraph,
-    GraphState,
     chord_diagram_from_circuit,
     circle_graph,
     circuit_partition_poly,
-    enumerate_euler_circuits,
-    enumerate_states,
     euler_circuit,
     martin_poly,
     parse_chord_word,
     parse_digraph,
     random_eulerian_digraph,
-    verify_theorem_A,
-    verify_theorem_A_all_circuits,
 )
-from .gf2 import GF2Matrix, corank, nullity, rank, stack_rank
 from .graph import SimpleGraph, parse_graph
 from .interlace import (
     QN_METHODS,
@@ -30,7 +24,6 @@ from .interlace import (
     qn_avdh,
     qn_bouchet,
     qn_closed,
-    qn_closed_reference,
     qn_from_q2,
     qn_isotropic,
     qn_recursive,
@@ -38,15 +31,9 @@ from .interlace import (
 from .isotropic import (
     IsotropicSystem,
     KVector,
-    dim_intersection,
-    dim_via_rank_formula,
-    f_hat_basis,
     graphic_system,
-    kv_form,
-    kv_in_f_hat,
     tutte_martin_canonical,
     tutte_martin_restricted,
-    vector_LP,
 )
 from .poly import BiPoly, UniPoly
 from .verify import run_verification
@@ -57,8 +44,6 @@ __all__ = [
     "BiPoly",
     "ChordDiagram",
     "EulerianDigraph",
-    "GF2Matrix",
-    "GraphState",
     "IsotropicSystem",
     "KVector",
     "QN_METHODS",
@@ -67,18 +52,9 @@ __all__ = [
     "chord_diagram_from_circuit",
     "circle_graph",
     "circuit_partition_poly",
-    "corank",
-    "dim_intersection",
-    "dim_via_rank_formula",
-    "enumerate_euler_circuits",
-    "enumerate_states",
     "euler_circuit",
-    "f_hat_basis",
     "graphic_system",
-    "kv_form",
-    "kv_in_f_hat",
     "martin_poly",
-    "nullity",
     "parse_chord_word",
     "parse_digraph",
     "parse_graph",
@@ -88,17 +64,11 @@ __all__ = [
     "qn_avdh",
     "qn_bouchet",
     "qn_closed",
-    "qn_closed_reference",
     "qn_from_q2",
     "qn_isotropic",
     "qn_recursive",
     "random_eulerian_digraph",
-    "rank",
     "run_verification",
-    "stack_rank",
     "tutte_martin_canonical",
     "tutte_martin_restricted",
-    "vector_LP",
-    "verify_theorem_A",
-    "verify_theorem_A_all_circuits",
 ]

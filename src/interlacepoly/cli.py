@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import eulerian, interlace, isotropic, verify
-from ._workers import WORKERS_ENV
 from .graph import SimpleGraph, parse_graph
 from .isotropic import K_X, K_Y, KVector
 from .poly import BiPoly, UniPoly
@@ -34,10 +33,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="interlacepoly",
-        description="Interlace, Tutte-Martin, and circuit partition polynomials.",
-        epilog=f"The {WORKERS_ENV} environment variable sets the worker count "
-               "for the large subset sums (default: available parallelism); "
-               "no more processes than the available parallelism are started.")
+        description="Interlace, Tutte-Martin, and circuit partition polynomials.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name: str, help_: str, func, graph_input: bool = True):

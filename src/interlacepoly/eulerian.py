@@ -24,7 +24,7 @@ from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequenc
 
 from . import interlace
 from ._workers import sum_histograms
-from .graph import MAX_VERTICES, SimpleGraph, _header_and_pairs
+from .graph import SimpleGraph, _check_vertex_count, _header_and_pairs
 from .poly import UniPoly
 
 # State enumeration visits 2**n pairing choices.
@@ -41,8 +41,7 @@ class EulerianDigraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]]):
-        if n < 0 or n > MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+        _check_vertex_count(n)
         edges = tuple((int(t), int(h)) for t, h in edges)
         for t, h in edges:
             if not (0 <= t < n and 0 <= h < n):
@@ -179,12 +178,10 @@ def _component_histogram(heads, in_slot, outs, m, start, stop) -> List[int]:
     return hist
 
 
-def circuit_partition_poly(d: EulerianDigraph,
-                           workers: Optional[int] = None) -> UniPoly:
+def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
     """f(d;x) = sum over k of (number of states with k cycles) * x^k.
     The edgeless digraph yields the constant 1 by convention.  From n = 16
-    on it runs in a pool of `workers` processes, resolved and capped as
-    in interlace.qn."""
+    on it runs in a process pool with one process per available CPU."""
     if not d.edges:
         return UniPoly((1,))
     _require_valid(d)
@@ -192,7 +189,7 @@ def circuit_partition_poly(d: EulerianDigraph,
     heads, in_slot, outs = _transition_tables(d)
     m = len(d.edges)
     return UniPoly(sum_histograms(_component_histogram, (heads, in_slot, outs, m),
-                                  1 << d.n, d.n, workers))
+                                  1 << d.n, d.n))
 
 
 def martin_poly(d: EulerianDigraph) -> UniPoly:

@@ -23,6 +23,13 @@ MAX_VERTICES = 63  # a vertex set must fit one machine word
 Rows = Tuple[int, ...]  # adjacency rows, one bitmask per vertex
 
 
+def _check_vertex_count(n: int) -> None:
+    """Rejects n outside 0..MAX_VERTICES; called before anything of
+    size n is allocated."""
+    if n < 0 or n > MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+
+
 class SimpleGraph:
     __slots__ = ("n", "adj", "loops_allowed")
 
@@ -35,8 +42,7 @@ class SimpleGraph:
             self.adj = adj
             self.loops_allowed = loops_allowed
             return
-        if n < 0 or n > MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+        _check_vertex_count(n)
         adj = list(adj) if adj is not None else [0] * n
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
@@ -59,6 +65,7 @@ class SimpleGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]],
                    loops_allowed: bool = False) -> "SimpleGraph":
+        _check_vertex_count(n)
         adj = [0] * n
         loops = False
         for u, v in edges:
@@ -243,6 +250,7 @@ def parse_graph(text: str) -> SimpleGraph:
     """
     tokens = _header_and_pairs(text, "graph")
     (n, m), pairs = tokens
+    _check_vertex_count(n)
     adj = [0] * n
     loops = False
     seen = set()

@@ -30,16 +30,12 @@ QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
 # Subset-sum methods enumerate 2**n induced subgraphs.
 SUBSET_SUM_CAP = 24
 
-def qn(g: SimpleGraph, method: str = "closed",
-       workers: Optional[int] = None) -> UniPoly:
+def qn(g: SimpleGraph, method: str = "closed") -> UniPoly:
     """Single-variable interlace polynomial of a loopless graph.
 
     Args:
         g: loopless graph.
         method: one of QN_METHODS.
-        workers: process count for the closed method (default: the
-            INTERLACEPOLY_WORKERS environment variable, else the
-            machine's available parallelism, which also caps it).
 
     Returns:
         UniPoly in x with nonnegative integer coefficients.
@@ -47,7 +43,7 @@ def qn(g: SimpleGraph, method: str = "closed",
     if method == "recursive":
         return qn_recursive(g)
     if method == "closed":
-        return qn_closed(g, workers=workers)
+        return qn_closed(g)
     if method == "bouchet":
         return qn_bouchet(g)
     if method == "avdh":
@@ -111,15 +107,15 @@ def _per_component(g: SimpleGraph, rec: Callable[[SimpleGraph, dict], object]) -
 # -- closed subset sum --------------------------------------------------
 
 
-def qn_closed(g: SimpleGraph, workers: Optional[int] = None) -> UniPoly:
+def qn_closed(g: SimpleGraph) -> UniPoly:
     """Sum of (x-1)**(|W| - rank(A[W])) over all vertex subsets W, the
     rank taken over GF(2) of the induced adjacency submatrix: the nullity
-    marginal of the rank profile.  From n = 16 on it runs in a pool of
-    `workers` processes, resolved and capped as in qn."""
+    marginal of the rank profile.  From n = 16 on it runs in a process
+    pool with one process per available CPU."""
     _require_loopless(g)
     _require_subset_size(g.n)
     n = g.n
-    profile = sum_histograms(_rank_profile, (g.adj, n), 1 << n, n, workers)
+    profile = sum_histograms(_rank_profile, (g.adj, n), 1 << n, n)
     counts = [0] * (n + 1)
     for _, nullity, c in _profile_entries(profile, n):
         counts[nullity] += c

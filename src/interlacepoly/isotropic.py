@@ -257,8 +257,7 @@ def dim_via_rank_formula(g: SimpleGraph, f: KVector) -> int:
 # -- restricted Tutte-Martin polynomial --------------------------------------
 
 
-def tutte_martin_restricted(system: IsotropicSystem, comp: KVector,
-                            workers: Optional[int] = None) -> UniPoly:
+def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     """Sum of (x-1)**dim(L meet F-hat) over the 2**n complete vectors F
     with F(v) != comp(v) everywhere.
 
@@ -266,7 +265,7 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector,
     values (smaller code first), with a shared elimination state of the
     L-basis extended and popped along the way; dim follows from the
     rank formula without recomputing intersections.  From n = 16 on it
-    runs in a pool of `workers` processes, resolved and capped as in qn.
+    runs in a process pool with one process per available CPU.
     """
     if comp.n != system.n:
         raise ValueError("length mismatch")
@@ -281,7 +280,7 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector,
         for v in range(n))
     k = min(n, 5)  # 2**k work units: four ranges each for up to 8 processes
     counts = sum_histograms(_tm_counts, (system.flattened_basis(), choices, n, k),
-                            1 << k, n, workers)
+                            1 << k, n)
     return poly_from_shift_counts(counts)
 
 
@@ -324,12 +323,11 @@ def _tm_counts(flat_basis: Tuple[int, ...],
     return counts
 
 
-def tutte_martin_canonical(g: SimpleGraph,
-                           workers: Optional[int] = None) -> UniPoly:
+def tutte_martin_canonical(g: SimpleGraph) -> UniPoly:
     """The restricted Tutte-Martin polynomial of the graphic system of g
     under the all-x / all-y presentation, excluding their sum all-z.
     Equals qn(g) and is the isotropic qn method."""
     a = KVector.constant(g.n, K_X)
     b = KVector.constant(g.n, K_Y)
     system = graphic_system(g, a, b)
-    return tutte_martin_restricted(system, a + b, workers=workers)
+    return tutte_martin_restricted(system, a + b)

@@ -87,7 +87,7 @@ def check_five_method_agreement(max_n: int) -> bool:
     tutte_martin_canonical, exhaustively."""
     for n in range(max_n + 1):
         for g in all_simple_graphs(n):
-            ref = interlace.qn_closed(g, workers=1)
+            ref = interlace.qn_closed(g)
             if interlace.qn_recursive(g) != ref:
                 return False
             if interlace.qn_bouchet(g) != ref:
@@ -103,21 +103,21 @@ def check_golden_values() -> bool:
     """qn(E_n) = x**n for n <= 8; qn(K2) = 2x; qn(P3) = x**2 + 2x;
     qn(K3) = 4x."""
     for n in range(9):
-        if interlace.qn_closed(SimpleGraph(n), workers=1) != UniPoly((0,) * n + (1,)):
+        if interlace.qn_closed(SimpleGraph(n)) != UniPoly((0,) * n + (1,)):
             return False
     k2 = SimpleGraph.from_edges(2, [(0, 1)])
     p3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
     k3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    return (interlace.qn_closed(k2, workers=1) == UniPoly((0, 2))
-            and interlace.qn_closed(p3, workers=1) == UniPoly((0, 2, 1))
-            and interlace.qn_closed(k3, workers=1) == UniPoly((0, 4)))
+    return (interlace.qn_closed(k2) == UniPoly((0, 2))
+            and interlace.qn_closed(p3) == UniPoly((0, 2, 1))
+            and interlace.qn_closed(k3) == UniPoly((0, 4)))
 
 
 def check_eq3(max_n: int) -> bool:
     """qn(G;y) == q2(G;2,y) for loopless graphs."""
     for n in range(max_n + 1):
         for g in all_simple_graphs(n):
-            lhs = interlace.qn_closed(g, workers=1).with_var("y")
+            lhs = interlace.qn_closed(g).with_var("y")
             if interlace.qn_from_q2(g) != lhs:
                 return False
     return True
@@ -223,7 +223,7 @@ def check_theorem_a(seed: int, random_count: int = 100,
     """f(G;x) == x * qn(H;x+1) on the hand-worked digraphs (with their
     frozen polynomials) and on seeded random 2-in-2-out digraphs."""
     for d, f_expected in _hand_digraphs():
-        if eulerian.circuit_partition_poly(d, workers=1) != f_expected:
+        if eulerian.circuit_partition_poly(d) != f_expected:
             return False
         if not eulerian.verify_theorem_A(d):
             return False
@@ -289,12 +289,11 @@ def check_edge_choice(max_n: int) -> bool:
         for g in all_simple_graphs(n):
             if not g.edge_count():
                 continue
-            ref = interlace.qn_closed(g, workers=1)
+            ref = interlace.qn_closed(g)
             for v, w in g.edges():
                 for a, b in ((v, w), (w, v)):
-                    branch = (interlace.qn_closed(g.delete_vertex(a), workers=1)
-                              + interlace.qn_closed(
-                                  g.pivot(a, b).delete_vertex(b), workers=1))
+                    branch = (interlace.qn_closed(g.delete_vertex(a))
+                              + interlace.qn_closed(g.pivot(a, b).delete_vertex(b)))
                     if branch != ref:
                         return False
     return True
@@ -334,7 +333,7 @@ def check_martin_roundtrip(seed: int, count: int = 50,
 
 
 def _martin_roundtrip_holds(d: EulerianDigraph) -> bool:
-    f = eulerian.circuit_partition_poly(d, workers=1)
+    f = eulerian.circuit_partition_poly(d)
     if f.evaluate(1) != 1 << d.n:
         return False
     m = eulerian.martin_poly(d)

@@ -134,10 +134,12 @@ class TestCircuitPartition:
         with pytest.raises(ValueError, match="capped"):
             circuit_partition_poly(d)
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, pin_cpus):
         d = random_eulerian_digraph(16, 44)
-        assert (circuit_partition_poly(d, workers=2)
-                == circuit_partition_poly(d, workers=1))
+        pin_cpus(2)
+        pooled = circuit_partition_poly(d)
+        pin_cpus(1)
+        assert circuit_partition_poly(d) == pooled
 
 
 class TestMartin:

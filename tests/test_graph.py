@@ -2,9 +2,11 @@
 complementation moves, deletion re-indexing, and the text format."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from interlacepoly.eulerian import parse_digraph
 from interlacepoly.gf2 import rank
 from interlacepoly.graph import MAX_VERTICES, SimpleGraph, parse_graph
 
@@ -246,3 +248,19 @@ class TestKeysAndText:
 
     def test_parse_ignores_blank_lines(self):
         assert parse_graph("3 2\n\n0 1\n\n1 2\n") == path(3)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: parse_graph(f"{n} 0"),
+        lambda n: SimpleGraph.from_edges(n, []),
+        lambda n: parse_digraph(f"{n} 0"),
+    ], ids=["parse_graph", "from_edges", "parse_digraph"])
+    def test_oversized_vertex_count_rejected_before_allocation(self, build):
+        # a row list for 10**7 vertices alone would take 80 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="vertex count"):
+                build(10_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

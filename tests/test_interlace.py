@@ -1,5 +1,5 @@
 """Interlace polynomial tests: golden values, agreement of the five
-independent routes, the two-variable forms, caps, and worker plumbing."""
+independent routes, the two-variable forms, caps, and the process pool."""
 
 import copy
 import random
@@ -104,13 +104,12 @@ class TestClosedForm:
             n = rng.randrange(9)
             assert qn_closed(random_simple_graph(n, rng)).evaluate(2) == 2 ** n
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, pin_cpus):
         g = random_simple_graph(16, random.Random(3))
-        assert qn_closed(g, workers=2) == qn_closed(g, workers=1)
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError, match="workers"):
-            qn_closed(P3, workers=0)
+        pin_cpus(2)
+        pooled = qn_closed(g)
+        pin_cpus(1)
+        assert qn_closed(g) == pooled
 
 
 class TestTwoVariable:
@@ -146,34 +145,10 @@ class TestTwoVariable:
             for g in all_simple_graphs(n):
                 assert qn_from_q2(g) == qn_closed(g).with_var("y")
 
-    def test_q2_serial_and_qn_pooled_share_the_kernel(self, monkeypatch):
-        monkeypatch.setattr(_workers, "available_parallelism", lambda: 2)
+    def test_q2_serial_and_qn_pooled_share_the_kernel(self, pin_cpus):
+        pin_cpus(2)
         g = random_simple_graph(_workers.PARALLEL_THRESHOLD, random.Random(4))
-        assert q2_closed(g).eval_at(2) == qn_closed(g, workers=2).with_var("y")
-
-
-class TestWorkerResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(_workers.WORKERS_ENV, "7")
-        assert _workers.resolve_workers(2) == 2
-
-    def test_environment_variable_is_read(self, monkeypatch):
-        monkeypatch.setenv(_workers.WORKERS_ENV, "3")
-        assert _workers.resolve_workers(None) == 3
-
-    def test_default_is_available_parallelism(self, monkeypatch):
-        monkeypatch.delenv(_workers.WORKERS_ENV, raising=False)
-        assert _workers.resolve_workers(None) == _workers.available_parallelism()
-        assert _workers.available_parallelism() >= 1
-
-    def test_bad_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(_workers.WORKERS_ENV, "many")
-        with pytest.raises(ValueError, match="must be an integer"):
-            _workers.resolve_workers(None)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            _workers.resolve_workers(0)
+        assert q2_closed(g).eval_at(2) == qn_closed(g).with_var("y")
 
 
 class TestParsedInputs:

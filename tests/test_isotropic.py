@@ -292,10 +292,12 @@ class TestTutteMartin:
             g = random_simple_graph(rng.randrange(8), rng)
             assert tutte_martin_canonical(g) == qn_closed(g)
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, pin_cpus):
         g = random_simple_graph(16, random.Random(18))
-        assert (tutte_martin_canonical(g, workers=2)
-                == tutte_martin_canonical(g, workers=1))
+        pin_cpus(2)
+        pooled = tutte_martin_canonical(g)
+        pin_cpus(1)
+        assert tutte_martin_canonical(g) == pooled
 
     def test_cap_enforced(self):
         big = graphic_system(SimpleGraph(ISOTROPIC_CAP + 1))

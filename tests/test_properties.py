@@ -209,7 +209,7 @@ class TestMartinBridge:
     @example(EulerianDigraph(1, [(0, 0), (0, 0)]))
     @example(EulerianDigraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)]))
     def test_matches_the_state_enumeration(self, d):
-        f = circuit_partition_poly(d, workers=1)
+        f = circuit_partition_poly(d)
         assert martin_poly(d) == f.divide_by_var().substitute(-1)
 
     @PROPERTY

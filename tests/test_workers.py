@@ -1,5 +1,6 @@
-"""The process-pool sharding helper: the range split, the cap on the
-processes a pool starts, and a worker that dies."""
+"""The process-pool sharding helper: the range split, the processes a
+pool starts, the CPU affinity that sets their number, and a worker that
+dies."""
 
 import os
 import random
@@ -29,10 +30,6 @@ def exit_at_once(start, stop):
     os._exit(1)
 
 
-def pin_parallelism(monkeypatch, cpus):
-    monkeypatch.setattr(_workers, "available_parallelism", lambda: cpus)
-
-
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Puts a pool in place that records its max_workers and runs each
@@ -60,35 +57,33 @@ def inline_pool(monkeypatch):
 
 class TestRangeSplit:
     @pytest.mark.parametrize("units", [1, 7, 1000, 1027])
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_every_unit_counted_once(self, monkeypatch, units, workers):
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    def test_every_unit_counted_once(self, monkeypatch, pin_cpus, units, cpus):
         monkeypatch.setattr(_workers, "ProcessPoolExecutor", ThreadPoolExecutor)
-        pin_parallelism(monkeypatch, 8)
-        got = _workers.sum_histograms(unit_hits, (units,), units, N, workers)
+        pin_cpus(cpus)
+        got = _workers.sum_histograms(unit_hits, (units,), units, N)
         assert got == unit_hits(units, 0, units) == [1] * units
 
 
 class TestProcessCap:
-    def test_capped_at_available_parallelism(self, monkeypatch, inline_pool):
-        monkeypatch.setenv(_workers.WORKERS_ENV, "5000")
-        pin_parallelism(monkeypatch, 3)
-        assert _workers.sum_histograms(unit_hits, (1000,), 1000, N, None) == [1] * 1000
+    def test_capped_at_available_parallelism(self, pin_cpus, inline_pool):
+        pin_cpus(3)
+        assert _workers.sum_histograms(unit_hits, (1000,), 1000, N) == [1] * 1000
         assert inline_pool == [3]
 
-    def test_capped_at_range_count(self, monkeypatch, inline_pool):
-        pin_parallelism(monkeypatch, 8)
-        assert _workers.sum_histograms(unit_hits, (2,), 2, N, 5000) == [1, 1]
+    def test_capped_at_range_count(self, pin_cpus, inline_pool):
+        pin_cpus(8)
+        assert _workers.sum_histograms(unit_hits, (2,), 2, N) == [1, 1]
         assert inline_pool == [2]
 
-    @pytest.mark.parametrize("n, workers, cpus", [(N - 1, 4, 4), (N, 1, 4), (N, 4, 1)])
-    def test_one_process_runs_in_place(self, monkeypatch, inline_pool, n, workers, cpus):
-        pin_parallelism(monkeypatch, cpus)
-        assert _workers.sum_histograms(unit_hits, (7,), 7, n, workers) == [1] * 7
+    @pytest.mark.parametrize("n, cpus", [(N - 1, 4), (N, 1)])
+    def test_one_process_runs_in_place(self, pin_cpus, inline_pool, n, cpus):
+        pin_cpus(cpus)
+        assert _workers.sum_histograms(unit_hits, (7,), 7, n) == [1] * 7
         assert inline_pool == []
 
-    def test_routes_start_capped_pools(self, monkeypatch, inline_pool):
-        monkeypatch.setenv(_workers.WORKERS_ENV, "5000")
-        pin_parallelism(monkeypatch, 4)
+    def test_routes_start_capped_pools(self, pin_cpus, inline_pool):
+        pin_cpus(4)
         g = random_simple_graph(N, random.Random(3))
         d = random_eulerian_digraph(N, 3)
         h = circle_graph(chord_diagram_from_circuit(euler_circuit(d)))
@@ -98,7 +93,29 @@ class TestProcessCap:
         assert inline_pool == [4, 4, 4]
 
 
-def test_dead_worker_raises_broken_process_pool(monkeypatch):
-    pin_parallelism(monkeypatch, 2)
+class TestAffinity:
+    """The affinity mask is read for real here; the tests above pin
+    available_parallelism instead."""
+
+    @pytest.mark.parametrize("cpus, pools", [({0}, []), ({0, 1, 2}, [3])],
+                             ids=["one-cpu", "three-cpus"])
+    def test_pool_size_follows_the_affinity_mask(self, monkeypatch, inline_pool,
+                                                 cpus, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert _workers.sum_histograms(unit_hits, (1000,), 1000, N) == [1] * 1000
+        assert inline_pool == pools
+
+    @pytest.mark.parametrize("count, pools", [(5, [5]), (None, [])],
+                             ids=["five-cpus", "count-unknown"])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, inline_pool,
+                                                count, pools):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _workers.sum_histograms(unit_hits, (1000,), 1000, N) == [1] * 1000
+        assert inline_pool == pools
+
+
+def test_dead_worker_raises_broken_process_pool(pin_cpus):
+    pin_cpus(2)
     with pytest.raises(BrokenProcessPool):
-        _workers.sum_histograms(exit_at_once, (), 8, N, 2)
+        _workers.sum_histograms(exit_at_once, (), 8, N)
