@@ -1,5 +1,6 @@
 """The process-pool sharding shared by the parallel subset sums.  It is
-the one place that decides how many processes a sum gets."""
+the one place that decides how a sum is split into work units and how
+many processes it gets."""
 
 from __future__ import annotations
 
@@ -9,6 +10,12 @@ from typing import Callable, List, Sequence
 
 # Below this size the per-process overhead dwarfs the sum itself.
 PARALLEL_THRESHOLD = 16
+
+
+def prefix_bits(n: int) -> int:
+    """How many leading choices of a walk over 2**n leaves make one work
+    unit: 2**5 units give four ranges each for up to 8 processes."""
+    return min(n, 5)
 
 
 def available_parallelism() -> int:

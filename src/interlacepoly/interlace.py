@@ -20,7 +20,7 @@ from math import comb, prod
 from operator import add
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ._workers import sum_histograms
+from ._workers import prefix_bits, sum_histograms
 from .gf2 import rank, reduce_by_pivots
 from .graph import Rows, SimpleGraph
 from .poly import BiPoly, UniPoly, poly_from_shift_counts
@@ -110,12 +110,15 @@ def _per_component(g: SimpleGraph, rec: Callable[[SimpleGraph, dict], object]) -
 def qn_closed(g: SimpleGraph) -> UniPoly:
     """Sum of (x-1)**(|W| - rank(A[W])) over all vertex subsets W, the
     rank taken over GF(2) of the induced adjacency submatrix: the nullity
-    marginal of the rank profile.  From n = 16 on it runs in a process
-    pool with one process per available CPU."""
+    marginal of the rank profile, which one depth-first walk over the
+    subsets computes with a shared elimination.  From n = 16 on the
+    walk's prefixes are split across a process pool with one process per
+    available CPU."""
     _require_loopless(g)
     _require_subset_size(g.n)
     n = g.n
-    profile = sum_histograms(_rank_profile, (g.adj, n), 1 << n, n)
+    k = prefix_bits(n)
+    profile = sum_histograms(_rank_profile, (g.adj, n, k), 1 << k, n)
     counts = [0] * (n + 1)
     for _, nullity, c in _profile_entries(profile, n):
         counts[nullity] += c
@@ -136,28 +139,79 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
     return acc
 
 
-def _rank_profile(adj: Tuple[int, ...], n: int, start: int, stop: int) -> List[int]:
+def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
+                  start: int, stop: int) -> List[int]:
     """Histogram of (rank of A[W] over GF(2), |W|) over the vertex
-    subsets W with bitmask in [start, stop), flat at rank*(n+1) + |W|."""
-    hist = [0] * ((n + 1) * (n + 1))
-    for m in range(start, stop):
-        rank_ = 0
-        piv: Dict[int, int] = {}
-        w = m
-        while w:
-            v = (w & -w).bit_length() - 1
-            w &= w - 1
-            r = adj[v] & m
-            # reduce_by_pivots inlined: a call per row costs ~19% at n=16.
+    subsets W whose first k vertices, read as the bits of a prefix, lie
+    in [start, stop); flat at rank*(n+1) + |W|.  Loops are diagonal ones.
+
+    A depth-first walk decides vertex 0, 1, ..., n-1 in turn and keeps
+    one echelon form of the chosen vertices' rows, restricted to the
+    columns C that can still be in W: the chosen and the undecided
+    vertices.  A row's pivot is its lowest bit in C.  Including v
+    reduces adj[v] & C against the pivots; excluding v drops column v,
+    and only the row whose pivot is v is reduced again.  At a leaf C = W.
+    Each node costs one reduction instead of one elimination per subset.
+    """
+    if n == 0:
+        return [stop - start]
+    step = n + 1
+    hist = [0] * (step * step)
+    last = n - 1
+    piv: Dict[int, int] = {}  # pivot bit -> row; keys outside C are stale
+
+    # at is the histogram index of the subset chosen so far: a vertex
+    # adds 1 to it, a row step.  The first k levels take only the branch
+    # the current prefix names; the last level counts its leaves in place.
+    def go(v: int, cols: int, at: int) -> None:
+        bit = 1 << v
+        if v >= k or prefix & bit:  # include v
+            r = adj[v] & cols
             while r:
-                h = r.bit_length()
-                p = piv.get(h)
+                low = r & -r
+                p = piv.get(low)
                 if p is None:
-                    piv[h] = r
-                    rank_ += 1
+                    break
+                r = (r ^ p) & cols
+            if v == last:
+                hist[at + step + 1 if r else at + 1] += 1
+            elif r:
+                piv[low] = r
+                go(v + 1, cols, at + step + 1)
+                del piv[low]
+            else:
+                go(v + 1, cols, at + 1)
+        if v >= k or not prefix & bit:  # exclude v
+            cols ^= bit
+            # The row with pivot v keeps its key: below here v is out of
+            # C, so no reduction looks it up, and above it is valid again.
+            r = piv.get(bit)
+            if r is None:
+                if v == last:
+                    hist[at] += 1
+                else:
+                    go(v + 1, cols, at)
+                return
+            # Without column v its bits, and those of every row it meets,
+            # lie above v, where no column has been dropped: no mask needed.
+            r ^= bit
+            while r:
+                low = r & -r
+                p = piv.get(low)
+                if p is None:
                     break
                 r ^= p
-        hist[rank_ * (n + 1) + m.bit_count()] += 1
+            if v == last:
+                hist[at if r else at - step] += 1
+            elif r:
+                piv[low] = r
+                go(v + 1, cols, at)
+                del piv[low]
+            else:
+                go(v + 1, cols, at - step)
+
+    for prefix in range(start, stop):
+        go(0, (1 << n) - 1, 0)
     return hist
 
 
@@ -259,9 +313,10 @@ def q2_closed(g: SimpleGraph) -> BiPoly:
     """Sum of (x-1)**rank * (y-1)**nullity over all vertex subsets W,
     rank and nullity of the induced adjacency submatrix over GF(2).
     Loops contribute diagonal ones.  Expands the rank profile whose
-    nullity marginal is qn_closed, in this process."""
+    nullity marginal is qn_closed, from one walk over all the subsets in
+    this process."""
     _require_subset_size(g.n)
-    return _bipoly_from_rank_counts(_rank_profile(g.adj, g.n, 0, 1 << g.n), g.n)
+    return _bipoly_from_rank_counts(_rank_profile(g.adj, g.n, 0, 0, 1), g.n)
 
 
 def q2_reduction(g: SimpleGraph) -> BiPoly:

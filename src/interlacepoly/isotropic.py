@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._workers import sum_histograms
+from ._workers import prefix_bits, sum_histograms
 from .gf2 import GF2Matrix, rank, reduce_by_pivots, stack_rank
 from .graph import SimpleGraph
 from .poly import UniPoly, poly_from_shift_counts
@@ -278,7 +278,7 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     choices = tuple(
         tuple(c for c in (K_X, K_Y, K_Z) if c != comp.code(v))
         for v in range(n))
-    k = min(n, 5)  # 2**k work units: four ranges each for up to 8 processes
+    k = prefix_bits(n)
     counts = sum_histograms(_tm_counts, (system.flattened_basis(), choices, n, k),
                             1 << k, n)
     return poly_from_shift_counts(counts)

@@ -1,18 +1,20 @@
 """Property tests of the recursion kernel: multiplicativity over disjoint
 unions and invariance under relabeling for every recursive route and
-the closed forms, the row-level moves against set-based versions, and
-the Martin polynomial through the circle graph against the states."""
+the closed forms, the row-level moves against set-based versions, the
+closed form's rank-profile walk against per-subset ranks, and the
+Martin polynomial through the circle graph against the states."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlacepoly.eulerian import (EulerianDigraph, circuit_partition_poly,
                                     martin_poly)
+from interlacepoly.gf2 import rank
 from interlacepoly.graph import (SimpleGraph, component_masks,
                                  delete_vertex_rows, local_complement_rows,
                                  pivot_rows)
-from interlacepoly.interlace import (q2_closed, q2_reduction, qn_bouchet,
-                                     qn_closed, qn_recursive)
+from interlacepoly.interlace import (_rank_profile, q2_closed, q2_reduction,
+                                     qn_bouchet, qn_closed, qn_recursive)
 
 # derandomize keeps the suite deterministic, so no example database is
 # kept between runs.
@@ -188,6 +190,67 @@ class TestDerivedGraphs:
         for h in derived:
             assert type(h.adj) is tuple
             assert SimpleGraph(h.n, h.adj, h.loops_allowed) == h
+
+
+# -- the closed form: the rank-profile walk against per-subset ranks ---------
+
+
+def subsets(n):
+    return ([v for v in range(n) if (m >> v) & 1] for m in range(1 << n))
+
+
+def brute_rank_profile(g):
+    hist = [0] * (g.n + 1) ** 2
+    for w in subsets(g.n):
+        hist[rank(g.adjacency_matrix(w)) * (g.n + 1) + len(w)] += 1
+    return hist
+
+
+@st.composite
+def graph_and_shards(draw):
+    """A graph with loops, a prefix width k and cut points that split the
+    2**k prefixes into ranges."""
+    g = draw(graphs(max_n=9, loops=True))
+    k = draw(st.integers(0, min(g.n, 5)))
+    cuts = draw(st.lists(st.integers(0, 1 << k), max_size=4))
+    bounds = [0] + sorted(cuts) + [1 << k]
+    return g, k, list(zip(bounds, bounds[1:]))
+
+
+class TestRankProfile:
+    @PROPERTY
+    @given(graphs(max_n=9, loops=True))
+    @example(EMPTY)
+    @example(SimpleGraph(1, [1], loops_allowed=True))
+    @example(SimpleGraph.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 2)]))
+    def test_matches_per_subset_ranks(self, g):
+        assert _rank_profile(g.adj, g.n, 0, 0, 1) == brute_rank_profile(g)
+
+    @PROPERTY
+    @given(graph_and_shards())
+    def test_prefix_ranges_sum_to_the_whole(self, gks):
+        g, k, ranges = gks
+        shards = [_rank_profile(g.adj, g.n, k, a, b) for a, b in ranges]
+        assert ([sum(col) for col in zip(*shards)]
+                == _rank_profile(g.adj, g.n, 0, 0, 1))
+
+
+class TestClosedForm:
+    @PROPERTY
+    @given(graphs(max_n=9))
+    def test_qn_at_one_counts_nonsingular_induced_subgraphs(self, g):
+        nonsingular = sum(rank(g.adjacency_matrix(w)) == len(w)
+                          for w in subsets(g.n))
+        assert qn_closed(g).evaluate(1) == nonsingular
+
+    @PROPERTY
+    @given(graphs(max_n=9), st.data())
+    def test_pivot_invariance(self, g, data):
+        edges = list(g.edges())
+        if not edges:
+            return
+        v, w = data.draw(st.sampled_from(edges))
+        assert qn_closed(g.pivot(v, w)) == qn_closed(g)
 
 
 # -- the Martin polynomial: circle graph against transition states -----------
