@@ -1,13 +1,13 @@
 """4-regular Eulerian digraphs and their circuit-partition polynomials.
 
 A valid digraph here has in-degree 2 and out-degree 2 at every vertex
-(loops count once in and once out) and is connected on its non-isolated
-vertices, so an Euler circuit exists.  A graph state picks, at every
-vertex, one of the two ways to pair the incoming edges with the
-outgoing ones; following the pairings decomposes the edge set into
-closed oriented cycles.  f_k counts states with exactly k cycles, and
-f(x) = sum f_k x^k is the circuit partition polynomial, related to the
-Martin polynomial by f(x) = x * m(x+1).
+(loops count once in and once out) and is connected, so an Euler
+circuit exists.  A graph state picks, at every vertex, one of the two
+ways to pair the incoming edges with the outgoing ones; following the
+pairings decomposes the edge set into closed oriented cycles.  f_k
+counts states with exactly k cycles, and f(x) = sum f_k x^k is the
+circuit partition polynomial, related to the Martin polynomial by
+f(x) = x * m(x+1).
 
 An Euler circuit visits every vertex exactly twice, so writing the
 visit order around a circle gives a chord diagram; its circle graph
@@ -53,8 +53,8 @@ class EulerianDigraph:
         return len(self.edges)
 
     def validation_error(self) -> Optional[str]:
-        """None if 2-in-2-out and connected on non-isolated vertices;
-        otherwise a message describing the first violation."""
+        """None if 2-in-2-out and connected; otherwise a message
+        describing the first violation."""
         indeg = [0] * self.n
         outdeg = [0] * self.n
         for t, h in self.edges:
@@ -64,20 +64,19 @@ class EulerianDigraph:
             if indeg[v] != 2 or outdeg[v] != 2:
                 return (f"vertex {v} has in-degree {indeg[v]} and "
                         f"out-degree {outdeg[v]}; need 2 and 2")
-        active = [v for v in range(self.n) if indeg[v] or outdeg[v]]
-        if active:
-            neighbors: Dict[int, set] = {v: set() for v in active}
+        if self.n:
+            neighbors: List[set] = [set() for _ in range(self.n)]
             for t, h in self.edges:
                 neighbors[t].add(h)
                 neighbors[h].add(t)
-            seen = {active[0]}
-            stack = [active[0]]
+            seen = {0}
+            stack = [0]
             while stack:
                 for w in neighbors[stack.pop()]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
-            if len(seen) != len(active):
+            if len(seen) != self.n:
                 return "digraph is not connected on its non-isolated vertices"
         return None
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-from .gf2 import GF2Matrix
-
 MAX_VERTICES = 63  # a vertex set must fit one machine word
 
 Rows = Tuple[int, ...]  # adjacency rows, one bitmask per vertex
@@ -163,22 +161,20 @@ class SimpleGraph:
         operation is an involution.
 
         Raises:
-            ValueError: if vw is not an edge or the graph has loops.
+            ValueError: if v or w is out of range, vw is not an edge or
+                the graph has loops.
         """
         if self.has_loops():
             raise ValueError("pivot is defined on loopless graphs only")
+        # has_edge range-checks v and w; a loopless graph has no edge vv.
+        if not self.has_edge(v, w):
+            raise ValueError(f"({v}, {w}) is not an edge")
         return self._pivot_unchecked(v, w)
 
     def _pivot_unchecked(self, v: int, w: int) -> "SimpleGraph":
-        # Used directly by the recursions: their graphs are checked
-        # loopless on entry, and in the two-variable reduction other
-        # vertices may carry loops but v and w must not.
-        self._check_vertex(v)
-        self._check_vertex(w)
-        if v == w or not self.has_edge(v, w):
-            raise ValueError(f"({v}, {w}) is not an edge")
-        if (self.adj[v] >> v) & 1 or (self.adj[w] >> w) & 1:
-            raise ValueError("pivot endpoints must be loopless")
+        # Used directly by the recursions, whose callers pick an edge vw
+        # with both endpoints loopless (other vertices may carry loops in
+        # the two-variable reduction), so nothing is checked here.
         return SimpleGraph(self.n, pivot_rows(self.adj, v, w),
                            self.loops_allowed, _valid=True)
 
@@ -212,12 +208,6 @@ class SimpleGraph:
         return [SimpleGraph(mask.bit_count(), restrict_rows(self.adj, mask),
                             self.loops_allowed, _valid=True)
                 for mask in component_masks(self.adj)]
-
-    def adjacency_matrix(self, vertices: Iterable[int]) -> GF2Matrix:
-        """Adjacency of the induced subgraph over GF(2), rows and columns
-        in increasing vertex order; loops put ones on the diagonal."""
-        sub = self.induced_subgraph(vertices)
-        return GF2Matrix(sub.n, sub.n, sub.adj)
 
     def is_even_subgraph(self, vertices: Iterable[int]) -> bool:
         """True iff every vertex of the induced subgraph has even degree

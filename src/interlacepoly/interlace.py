@@ -126,17 +126,17 @@ def qn_closed(g: SimpleGraph) -> UniPoly:
 
 
 def qn_closed_reference(g: SimpleGraph) -> UniPoly:
-    """The same subset sum, spelled with the generic matrix machinery
-    instead of the tuned inner loop.  Slow; kept as the reference the
-    fast path is tested against."""
+    """The same subset sum with one GF(2) rank per subset instead of the
+    shared walk: a histogram of |W| - rank(A[W]), expanded like the fast
+    routes'.  Slow; kept as the reference the fast path is tested
+    against."""
     _require_loopless(g)
     _require_subset_size(g.n)
-    acc = UniPoly.zero()
+    counts = [0] * (g.n + 1)
     for mask in range(1 << g.n):
-        subset = [v for v in range(g.n) if (mask >> v) & 1]
-        nullity = len(subset) - rank(g.adjacency_matrix(subset))
-        acc = acc.add_shifted_power(nullity, -1)
-    return acc
+        sub = g.induced_subgraph(v for v in range(g.n) if (mask >> v) & 1)
+        counts[sub.n - rank(sub.adj)] += 1
+    return poly_from_shift_counts(counts)
 
 
 def _rank_profile(adj: Tuple[int, ...], n: int, k: int,

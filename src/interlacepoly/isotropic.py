@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._workers import prefix_bits, sum_histograms
-from .gf2 import GF2Matrix, rank, reduce_by_pivots, stack_rank
+from .gf2 import rank, reduce_by_pivots
 from .graph import SimpleGraph
 from .poly import UniPoly, poly_from_shift_counts
 
@@ -230,13 +230,11 @@ def f_hat_basis(f: KVector) -> List[KVector]:
 
 def dim_intersection(system: IsotropicSystem, f: KVector) -> int:
     """dim(L meet F-hat) = dim L + dim F-hat - dim(L + F-hat), the last
-    term a single stacked rank over the flattened 2n-bit rows."""
+    term the rank of the two bases' flattened 2n-bit rows together."""
     if f.n != system.n:
         raise ValueError("length mismatch")
-    n = system.n
-    lmat = GF2Matrix(n, 2 * n, system.flattened_basis())
-    fmat = GF2Matrix(n, 2 * n, tuple(v.flattened() for v in f_hat_basis(f)))
-    return 2 * n - stack_rank(lmat, fmat)
+    f_hat_rows = tuple(v.flattened() for v in f_hat_basis(f))
+    return 2 * system.n - rank(system.flattened_basis() + f_hat_rows)
 
 
 def dim_via_rank_formula(g: SimpleGraph, f: KVector) -> int:
@@ -251,7 +249,7 @@ def dim_via_rank_formula(g: SimpleGraph, f: KVector) -> int:
             fx.append(v)
         elif c != K_Y:
             raise ValueError("F must take values x and y only")
-    return len(fx) - rank(g.adjacency_matrix(fx))
+    return len(fx) - rank(g.induced_subgraph(fx).adj)
 
 
 # -- restricted Tutte-Martin polynomial --------------------------------------
@@ -300,7 +298,7 @@ def _tm_counts(flat_basis: Tuple[int, ...],
             # dim(L meet F-hat) = 2n - (n + added) = n - added
             counts[n - added] += 1
             return
-        for code in choices[v]:
+        for code in walk[v]:
             r = reduce_by_pivots(code << (2 * v), piv)
             if r:
                 h = r.bit_length()
@@ -310,16 +308,10 @@ def _tm_counts(flat_basis: Tuple[int, ...],
             else:
                 go(v + 1, added)
 
+    # The first k positions admit only the choice the prefix names.
     for prefix in range(start, stop):
-        fixed = []
-        for v in range(k):
-            r = reduce_by_pivots(choices[v][(prefix >> v) & 1] << (2 * v), piv)
-            if r:
-                piv[r.bit_length()] = r
-                fixed.append(r.bit_length())
-        go(k, len(fixed))
-        for h in fixed:
-            del piv[h]
+        walk = tuple((choices[v][(prefix >> v) & 1],) for v in range(k)) + choices[k:]
+        go(0, 0)
     return counts
 
 

@@ -8,7 +8,6 @@ identity checks demand bit-exact equality.
 from __future__ import annotations
 
 import json
-from math import comb
 from typing import Dict, Sequence, Tuple
 
 
@@ -79,19 +78,6 @@ class UniPoly:
 
     def scale(self, c: int) -> "UniPoly":
         return UniPoly([c * a for a in self.coeffs], self.var)
-
-    def add_shifted_power(self, k: int, base_shift: int) -> "UniPoly":
-        """Return self + (var + base_shift)^k, expanded exactly.
-
-        This is the accumulation step of the subset sums: one term per
-        subset, binomially expanded.
-        """
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        out = list(self.coeffs) + [0] * max(0, k + 1 - len(self.coeffs))
-        for i in range(k + 1):
-            out[i] += comb(k, i) * base_shift ** (k - i)
-        return UniPoly(out, self.var)
 
     def substitute(self, shift: int) -> "UniPoly":
         """Evaluate at (var + shift): the variable change x -> x + shift."""
@@ -256,21 +242,10 @@ def _join_signed(parts: Sequence[Tuple[int, str]]) -> str:
     return "".join(out)
 
 
-def poly_from_shift_counts(counts: Sequence[int], base_shift: int = -1,
-                           var: str = "x") -> UniPoly:
-    """Expand sum over k of counts[k] * (var + base_shift)**k.
+def poly_from_shift_counts(counts: Sequence[int]) -> UniPoly:
+    """Expand sum over k of counts[k] * (x - 1)**k.
 
     This is the common final step of the subset sums: a histogram of
     exponents becomes a polynomial in the shifted variable.
     """
-    out = [0] * max(1, len(counts))
-    for k, c in enumerate(counts):
-        if c:
-            for i in range(k + 1):
-                out[i] += c * comb(k, i) * base_shift ** (k - i)
-    return UniPoly(out, var)
-
-
-def shifted_power(k: int, base_shift: int, var: str = "x") -> UniPoly:
-    """(var + base_shift)^k as a UniPoly."""
-    return UniPoly.zero(var).add_shifted_power(k, base_shift)
+    return UniPoly(counts).substitute(-1)

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from . import eulerian, interlace, isotropic
 from .eulerian import EulerianDigraph
-from .gf2 import GF2Matrix, rank
+from .gf2 import rank
 from .graph import SimpleGraph
 from .isotropic import K_X, K_Y, K_Z, KVector
 from .poly import UniPoly
@@ -310,8 +310,7 @@ def check_isotropy(max_n: int) -> bool:
                 for j in range(n):
                     if isotropic.kv_form(basis[i], basis[j]) != 0:
                         return False
-            flat = GF2Matrix(n, 2 * n, system.flattened_basis())
-            if rank(flat) != n:
+            if rank(system.flattened_basis()) != n:
                 return False
     return True
 

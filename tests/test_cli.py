@@ -172,6 +172,15 @@ class TestGraphTransforms:
         out = run_ok(capsys, ["lc", "3 2 0 1 1 2", "1"])
         assert out == "3 3\n0 1\n0 2\n1 2\n"
 
+    @pytest.mark.parametrize("argv,vertex", [
+        (["pivot", "3 2 0 1 1 2", "0", "5"], 5),
+        (["pivot", "3 2 0 1 1 2", "-1", "0"], -1),
+        (["lc", "3 2 0 1 1 2", "3"], 3),
+    ], ids=["pivot-high", "pivot-negative", "lc-high"])
+    def test_vertex_out_of_range_is_an_input_error(self, capsys, argv, vertex):
+        err = run_err(capsys, argv)
+        assert err == f"error: vertex {vertex} out of range for n=3\n"
+
 
 class TestVerifyCommand:
     def test_reports_and_succeeds(self, capsys):

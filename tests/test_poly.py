@@ -1,12 +1,11 @@
 """Exact polynomial arithmetic: golden renderings, arithmetic against
-pointwise evaluation, and the shifted-power expansions."""
+pointwise evaluation, and the expansion in powers of x - 1."""
 
 import random
 
 import pytest
 
-from interlacepoly.poly import (BiPoly, UniPoly, poly_from_shift_counts,
-                                shifted_power)
+from interlacepoly.poly import BiPoly, UniPoly, poly_from_shift_counts
 
 
 class TestUniPolyBasics:
@@ -65,18 +64,6 @@ class TestUniPolyArithmetic:
 
 
 class TestUniPolyTransforms:
-    def test_add_shifted_power_expands_binomially(self):
-        # (x - 1)^3 = x^3 - 3x^2 + 3x - 1
-        assert UniPoly.zero().add_shifted_power(3, -1) == UniPoly((-1, 3, -3, 1))
-
-    def test_add_shifted_power_accumulates(self):
-        p = UniPoly((5,)).add_shifted_power(0, -1)
-        assert p == UniPoly((6,))
-
-    def test_add_shifted_power_rejects_negative_exponent(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            UniPoly.zero().add_shifted_power(-1, -1)
-
     def test_substitute_shifts_the_argument(self):
         rng = random.Random(3)
         for _ in range(60):
@@ -177,23 +164,18 @@ class TestBiPoly:
 
 
 class TestShiftedPowers:
-    def test_shifted_power_golden(self):
-        assert shifted_power(2, 1) == UniPoly((1, 2, 1))
-        assert shifted_power(0, -1) == UniPoly((1,))
-
     def test_poly_from_shift_counts_matches_term_by_term_sum(self):
+        # (x - 1)^3 = x^3 - 3x^2 + 3x - 1
+        assert poly_from_shift_counts([0, 0, 0, 1]) == UniPoly((-1, 3, -3, 1))
         rng = random.Random(9)
         for _ in range(50):
             counts = [rng.randrange(4) for _ in range(rng.randrange(1, 7))]
-            shift = rng.choice((-2, -1, 1, 2))
-            total = UniPoly.zero()
-            for k, c in enumerate(counts):
-                total = total + shifted_power(k, shift).scale(c)
-            assert poly_from_shift_counts(counts, shift) == total
+            p = poly_from_shift_counts(counts)
+            # deg + 1 points fix a polynomial of degree at most deg
+            for t in range(len(counts)):
+                assert p.evaluate(t) == sum(c * (t - 1) ** k
+                                            for k, c in enumerate(counts))
 
     def test_poly_from_shift_counts_empty(self):
         assert poly_from_shift_counts([]).is_zero()
         assert poly_from_shift_counts([0, 0]).is_zero()
-
-    def test_poly_from_shift_counts_variable(self):
-        assert poly_from_shift_counts([0, 1], var="y") == UniPoly((-1, 1), var="y")
