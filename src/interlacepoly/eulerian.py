@@ -13,8 +13,11 @@ An Euler circuit visits every vertex exactly twice, so writing the
 visit order around a circle gives a chord diagram; its circle graph
 (chords as vertices, crossings as edges) carries the interlace
 polynomial that the circuit partition polynomial factors through.
-circuit_partition_poly enumerates the states; martin_poly takes the
-interlace polynomial of the circle graph instead.
+circuit_partition_poly enumerates the states with one depth-first walk
+that links each vertex's pairing into strands of edges and counts the
+cycles they close; enumerate_states traces each state on its own, as
+the reference.  martin_poly takes the interlace polynomial of the circle
+graph instead.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import interlace
-from ._workers import sum_histograms
+from ._workers import prefix_bits, sum_histograms
 from .graph import SimpleGraph, _check_vertex_count, _header_and_pairs
 from .poly import UniPoly
 
@@ -77,7 +80,7 @@ class EulerianDigraph:
                         seen.add(w)
                         stack.append(w)
             if len(seen) != self.n:
-                return "digraph is not connected on its non-isolated vertices"
+                return "digraph is not connected"
         return None
 
     def is_valid(self) -> bool:
@@ -113,21 +116,28 @@ class GraphState(NamedTuple):
     choices: Tuple[int, ...]
 
 
-def _transition_tables(d: EulerianDigraph) -> Tuple[Tuple[int, ...], Tuple[int, ...],
-                                                    Tuple[Tuple[int, ...], ...]]:
-    """heads[e], in_slot[e] (position of e among its head's in-edges),
-    and outs[v] (out-edge indices ascending)."""
+def _incidence(d: EulerianDigraph) -> Tuple[Tuple[Tuple[int, ...], ...],
+                                            Tuple[Tuple[int, ...], ...]]:
+    """ins[v] and outs[v]: the in-edge and out-edge indices of v, ascending."""
     ins: List[List[int]] = [[] for _ in range(d.n)]
     outs: List[List[int]] = [[] for _ in range(d.n)]
     for e, (t, h) in enumerate(d.edges):
         outs[t].append(e)
         ins[h].append(e)
+    return tuple(map(tuple, ins)), tuple(map(tuple, outs))
+
+
+def _transition_tables(d: EulerianDigraph) -> Tuple[Tuple[int, ...], Tuple[int, ...],
+                                                    Tuple[Tuple[int, ...], ...]]:
+    """heads[e], in_slot[e] (position of e among its head's in-edges),
+    and outs[v] (out-edge indices ascending)."""
+    ins, outs = _incidence(d)
     in_slot = [0] * len(d.edges)
-    for v in range(d.n):
-        for s, e in enumerate(ins[v]):
+    for v_ins in ins:
+        for s, e in enumerate(v_ins):
             in_slot[e] = s
     heads = tuple(h for _, h in d.edges)
-    return heads, tuple(in_slot), tuple(tuple(o) for o in outs)
+    return heads, tuple(in_slot), outs
 
 
 def state_successors(d: EulerianDigraph, state: GraphState) -> Tuple[int, ...]:
@@ -141,7 +151,9 @@ def state_successors(d: EulerianDigraph, state: GraphState) -> Tuple[int, ...]:
 
 
 def enumerate_states(d: EulerianDigraph) -> Iterator[Tuple[GraphState, int]]:
-    """All 2**n graph states with their cycle counts.
+    """All 2**n graph states with their cycle counts, each traced on its
+    own.  Slow; kept as the per-state reference the walk behind
+    circuit_partition_poly is tested against.
 
     Raises:
         ValueError: if the digraph is not valid.
@@ -170,25 +182,87 @@ def _cycle_count(heads, in_slot, outs, m, mask) -> int:
     return comps
 
 
-def _component_histogram(heads, in_slot, outs, m, start, stop) -> List[int]:
-    hist = [0] * (m + 1)
-    for mask in range(start, stop):
-        hist[_cycle_count(heads, in_slot, outs, m, mask)] += 1
+def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
+                          outs: Tuple[Tuple[int, ...], ...], k: int,
+                          start: int, stop: int) -> List[int]:
+    """Histogram of cycle counts over the states whose choices at the
+    first k vertices, read as the bits of a prefix, lie in [start, stop).
+
+    A depth-first walk decides vertex 0, 1, ..., n-1 in turn; choice c at
+    v links each in-edge ins[v][s] to the out-edge outs[v][s ^ c] that
+    follows it.  Linked edges form strands: first[a] is the start of the
+    strand that ends with edge a, last[b] the end of the strand that
+    starts with edge b (entries of edges inside a strand are stale).
+    Linking end a to start b closes a cycle when first[a] == b; otherwise
+    it joins the two strands with two writes, which the way back undoes
+    from a and b alone.  Each node costs two links instead of a trace of
+    all 2n edges per state.
+    """
+    n = len(ins)
+    hist = [0] * (2 * n + 1)
+    first = list(range(2 * n))
+    last = list(range(2 * n))
+    final = n - 1
+
+    # The first k levels take only the choice the current prefix names.
+    def go(v: int, cycles: int) -> None:
+        a0, a1 = ins[v]
+        b = outs[v]
+        if v == final:
+            # Two strands run from b[0], b[1] to a0, a1.  The choice that
+            # links a0 to its own strand's start closes both; the other
+            # joins them and closes one.
+            if v >= k:
+                hist[cycles + 1] += 1
+                hist[cycles + 2] += 1
+            else:
+                c = (prefix >> v) & 1
+                hist[cycles + 2 if first[a0] == b[c] else cycles + 1] += 1
+            return
+        for c in (0, 1) if v >= k else ((prefix >> v) & 1,):
+            b0 = b[c]
+            b1 = b[c ^ 1]
+            s0 = first[a0]
+            t0 = last[b0]
+            join0 = s0 != b0
+            if join0:
+                last[s0] = t0
+                first[t0] = s0
+            s1 = first[a1]
+            t1 = last[b1]
+            join1 = s1 != b1
+            if join1:
+                last[s1] = t1
+                first[t1] = s1
+            go(v + 1, cycles + 2 - join0 - join1)
+            if join1:
+                last[s1] = a1
+                first[t1] = b1
+            if join0:
+                last[s0] = a0
+                first[t0] = b0
+
+    for prefix in range(start, stop):
+        go(0, 0)
     return hist
 
 
 def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
     """f(d;x) = sum over k of (number of states with k cycles) * x^k.
-    The edgeless digraph yields the constant 1 by convention.  From n = 16
-    on it runs in a process pool with one process per available CPU."""
+    The edgeless digraph yields the constant 1 by convention.
+
+    One depth-first walk over the states counts their cycles
+    (_component_histogram); enumerate_states, which traces each state on
+    its own, is its reference.  From n = 16 on the walk is split by its
+    first prefix_bits(n) decisions across a process pool with one process
+    per available CPU."""
     if not d.edges:
         return UniPoly((1,))
     _require_valid(d)
     _require_state_size(d.n)
-    heads, in_slot, outs = _transition_tables(d)
-    m = len(d.edges)
-    return UniPoly(sum_histograms(_component_histogram, (heads, in_slot, outs, m),
-                                  1 << d.n, d.n))
+    k = prefix_bits(d.n)
+    return UniPoly(sum_histograms(_component_histogram, (*_incidence(d), k),
+                                  1 << k, d.n))
 
 
 def martin_poly(d: EulerianDigraph) -> UniPoly:

@@ -134,6 +134,11 @@ class TestDigraphCommands:
         err = run_err(capsys, ["cpp", "2 2 0 1 1 0"])
         assert "in-degree" in err
 
+    @pytest.mark.parametrize("command", ["cpp", "martin"])
+    def test_disconnected_digraph_is_an_input_error(self, capsys, command):
+        err = run_err(capsys, [command, "2 4  0 0  0 0  1 1  1 1"])
+        assert err == "error: digraph is not connected\n"
+
     def test_martin_cap_is_an_input_error(self, capsys):
         d = eulerian.random_eulerian_digraph(eulerian.MARTIN_CAP + 1, 0)
         err = run_err(capsys, ["martin", d.to_text()])

@@ -1,14 +1,17 @@
 """Property tests of the recursion kernel: multiplicativity over disjoint
 unions and invariance under relabeling for every recursive route and
 the closed forms, the row-level moves against set-based versions, the
-closed form's rank-profile walk against per-subset ranks, and the
-Martin polynomial through the circle graph against the states."""
+closed form's rank-profile walk against per-subset ranks, the
+transition-state walk against per-state cycle counts, and the Martin
+polynomial through the circle graph against the states."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interlacepoly.eulerian import (EulerianDigraph, circuit_partition_poly,
-                                    martin_poly)
+from interlacepoly._workers import prefix_bits
+from interlacepoly.eulerian import (EulerianDigraph, _component_histogram,
+                                    _incidence, circuit_partition_poly,
+                                    enumerate_states, martin_poly)
 from interlacepoly.gf2 import rank
 from interlacepoly.graph import (SimpleGraph, component_masks,
                                  delete_vertex_rows, local_complement_rows,
@@ -266,11 +269,62 @@ def walk_digraphs(draw, max_n=9):
                                for i in range(len(walk))])
 
 
+TWO_LOOPS = EulerianDigraph(1, [(0, 0), (0, 0)])
+DOUBLED_2CYCLE = EulerianDigraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)])
+
+
+def state_walk(d, k=0, start=0, stop=1):
+    return _component_histogram(*_incidence(d), k, start, stop)
+
+
+@st.composite
+def digraph_and_shards(draw):
+    """A digraph, a prefix width k and cut points that split the 2**k
+    prefixes into ranges."""
+    d = draw(walk_digraphs())
+    k = draw(st.integers(0, prefix_bits(d.n)))
+    cuts = draw(st.lists(st.integers(0, 1 << k), max_size=4))
+    bounds = [0] + sorted(cuts) + [1 << k]
+    return d, k, list(zip(bounds, bounds[1:]))
+
+
+class TestStateWalk:
+    @PROPERTY
+    @given(walk_digraphs())
+    @example(TWO_LOOPS)
+    @example(DOUBLED_2CYCLE)
+    def test_matches_per_state_cycle_counts(self, d):
+        hist = [0] * (len(d.edges) + 1)
+        for _, cycles in enumerate_states(d):
+            hist[cycles] += 1
+        assert state_walk(d) == hist
+
+    @PROPERTY
+    @given(digraph_and_shards())
+    @example((TWO_LOOPS, 1, [(0, 1), (1, 2)]))
+    @example((DOUBLED_2CYCLE, 2, [(0, 1), (1, 3), (3, 4)]))
+    def test_prefix_ranges_sum_to_the_whole(self, dkr):
+        d, k, ranges = dkr
+        shards = [state_walk(d, k, a, b) for a, b in ranges]
+        assert [sum(col) for col in zip(*shards)] == state_walk(d)
+
+    @PROPERTY
+    @given(walk_digraphs().flatmap(lambda d: st.tuples(
+        st.just(d), st.permutations(range(len(d.edges))))))
+    @example((TWO_LOOPS, [1, 0]))
+    @example((DOUBLED_2CYCLE, [2, 0, 3, 1]))
+    def test_edge_order_invariance(self, dq):
+        # Reordering the edges relabels every in- and out-slot.
+        d, order = dq
+        h = EulerianDigraph(d.n, [d.edges[e] for e in order])
+        assert circuit_partition_poly(h) == circuit_partition_poly(d)
+
+
 class TestMartinBridge:
     @PROPERTY
     @given(walk_digraphs())
-    @example(EulerianDigraph(1, [(0, 0), (0, 0)]))
-    @example(EulerianDigraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)]))
+    @example(TWO_LOOPS)
+    @example(DOUBLED_2CYCLE)
     def test_matches_the_state_enumeration(self, d):
         f = circuit_partition_poly(d)
         assert martin_poly(d) == f.divide_by_var().substitute(-1)
