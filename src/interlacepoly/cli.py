@@ -181,10 +181,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
         return args.func(args)
-    except CliInputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (CliInputError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

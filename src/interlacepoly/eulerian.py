@@ -58,27 +58,21 @@ class EulerianDigraph:
     def validation_error(self) -> Optional[str]:
         """None if 2-in-2-out and connected; otherwise a message
         describing the first violation."""
-        indeg = [0] * self.n
-        outdeg = [0] * self.n
-        for t, h in self.edges:
-            outdeg[t] += 1
-            indeg[h] += 1
+        ins, outs = _incidence(self)
         for v in range(self.n):
-            if indeg[v] != 2 or outdeg[v] != 2:
-                return (f"vertex {v} has in-degree {indeg[v]} and "
-                        f"out-degree {outdeg[v]}; need 2 and 2")
+            if len(ins[v]) != 2 or len(outs[v]) != 2:
+                return (f"vertex {v} has in-degree {len(ins[v])} and "
+                        f"out-degree {len(outs[v])}; need 2 and 2")
         if self.n:
-            neighbors: List[set] = [set() for _ in range(self.n)]
-            for t, h in self.edges:
-                neighbors[t].add(h)
-                neighbors[h].add(t)
             seen = {0}
             stack = [0]
             while stack:
-                for w in neighbors[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+                v = stack.pop()
+                for e in ins[v] + outs[v]:
+                    for w in self.edges[e]:
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
             if len(seen) != self.n:
                 return "digraph is not connected"
         return None
@@ -301,9 +295,7 @@ def euler_circuit(d: EulerianDigraph) -> Tuple[int, ...]:
     _require_valid(d)
     if not d.edges:
         raise ValueError("Euler circuit needs at least one edge")
-    outs: List[List[int]] = [[] for _ in range(d.n)]
-    for e, (t, _) in enumerate(d.edges):
-        outs[t].append(e)
+    _, outs = _incidence(d)
     cursor = [0] * d.n  # per-vertex index of the next unused out-edge
     heads = [h for _, h in d.edges]
 
@@ -427,9 +419,7 @@ def enumerate_euler_circuits(d: EulerianDigraph) -> Iterator[Tuple[int, ...]]:
     if not d.edges:
         raise ValueError("Euler circuit needs at least one edge")
     m = len(d.edges)
-    outs: List[List[int]] = [[] for _ in range(d.n)]
-    for e, (t, _) in enumerate(d.edges):
-        outs[t].append(e)
+    _, outs = _incidence(d)
     start = min(v for v in range(d.n) if outs[v])
     used = [False] * m
     trail: List[int] = []

@@ -21,7 +21,7 @@ from operator import add
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ._workers import prefix_bits, sum_histograms
-from .gf2 import rank, reduce_by_pivots
+from .gf2 import choice_ranks, rank
 from .graph import Rows, SimpleGraph
 from .poly import BiPoly, UniPoly, poly_from_shift_counts
 
@@ -231,31 +231,16 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
     the n x 2n matrix [A | I]: for each index i take either the i-th
     adjacency column or the i-th identity column.
 
-    Computed by depth-first search over the choices, keeping one shared
-    elimination state that is extended on descent and popped on return.
+    gf2.choice_ranks walks the choices with one shared elimination, its
+    histogram indexed by the corank.  From n = 16 on the walk's prefixes
+    are split across a process pool with one process per available CPU.
     """
     _require_loopless(g)
     _require_subset_size(g.n)
     n = g.n
-    adj = g.adj
-    counts = [0] * (n + 1)
-    piv: Dict[int, int] = {}
-
-    def go(i: int, rank_: int) -> None:
-        if i == n:
-            counts[n - rank_] += 1
-            return
-        for vec in (adj[i], 1 << i):
-            r = reduce_by_pivots(vec, piv)
-            if r:
-                h = r.bit_length()
-                piv[h] = r
-                go(i + 1, rank_ + 1)
-                del piv[h]
-            else:
-                go(i + 1, rank_)
-
-    go(0, 0)
+    k = prefix_bits(n)
+    pairs = tuple((row, 1 << i) for i, row in enumerate(g.adj))
+    counts = sum_histograms(choice_ranks, ((), pairs, k), 1 << k, n)
     return poly_from_shift_counts(counts)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._workers import prefix_bits, sum_histograms
-from .gf2 import rank, reduce_by_pivots
+from .gf2 import choice_ranks, rank, reduce_by_pivots
 from .graph import SimpleGraph
 from .poly import UniPoly, poly_from_shift_counts
 
@@ -259,11 +259,13 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     """Sum of (x-1)**dim(L meet F-hat) over the 2**n complete vectors F
     with F(v) != comp(v) everywhere.
 
-    Enumerated by a choice per position between the two admitted Klein
-    values (smaller code first), with a shared elimination state of the
-    L-basis extended and popped along the way; dim follows from the
-    rank formula without recomputing intersections.  From n = 16 on it
-    runs in a process pool with one process per available CPU.
+    F-hat is spanned by one vector at each position, a choice between
+    the two admitted Klein values (smaller code first).  gf2.choice_ranks
+    walks the choices with one shared elimination of the L-basis and
+    histograms the rank they add: L and F-hat have dimension n each in a
+    space of dimension 2n, so dim(L meet F-hat) = n - gain, the index of
+    the histogram.  From n = 16 on it runs in a process pool with one
+    process per available CPU.
     """
     if comp.n != system.n:
         raise ValueError("length mismatch")
@@ -273,46 +275,13 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     if n > ISOTROPIC_CAP:
         raise ValueError(f"Tutte-Martin sums are capped at {ISOTROPIC_CAP} "
                          f"positions, got {n}")
-    choices = tuple(
-        tuple(c for c in (K_X, K_Y, K_Z) if c != comp.code(v))
+    pairs = tuple(
+        tuple(c << (2 * v) for c in (K_X, K_Y, K_Z) if c != comp.code(v))
         for v in range(n))
     k = prefix_bits(n)
-    counts = sum_histograms(_tm_counts, (system.flattened_basis(), choices, n, k),
+    counts = sum_histograms(choice_ranks, (system.flattened_basis(), pairs, k),
                             1 << k, n)
     return poly_from_shift_counts(counts)
-
-
-def _tm_counts(flat_basis: Tuple[int, ...],
-               choices: Tuple[Tuple[int, int], ...],
-               n: int, k: int, start: int, stop: int) -> List[int]:
-    """Histogram of dim(L meet F-hat) over the F whose choices at the
-    first k positions, read as the bits of a prefix, lie in [start, stop)."""
-    piv: Dict[int, int] = {}
-    for vec in flat_basis:
-        r = reduce_by_pivots(vec, piv)
-        piv[r.bit_length()] = r  # basis is independent by construction
-    counts = [0] * (n + 1)
-
-    def go(v: int, added: int) -> None:
-        if v == n:
-            # dim(L meet F-hat) = 2n - (n + added) = n - added
-            counts[n - added] += 1
-            return
-        for code in walk[v]:
-            r = reduce_by_pivots(code << (2 * v), piv)
-            if r:
-                h = r.bit_length()
-                piv[h] = r
-                go(v + 1, added + 1)
-                del piv[h]
-            else:
-                go(v + 1, added)
-
-    # The first k positions admit only the choice the prefix names.
-    for prefix in range(start, stop):
-        walk = tuple((choices[v][(prefix >> v) & 1],) for v in range(k)) + choices[k:]
-        go(0, 0)
-    return counts
 
 
 def tutte_martin_canonical(g: SimpleGraph) -> UniPoly:

@@ -112,6 +112,15 @@ class TestClosedForm:
         assert qn_closed(g) == pooled
 
 
+class TestColumnChoiceSum:
+    def test_worker_pool_matches_serial(self, pin_cpus):
+        g = random_simple_graph(16, random.Random(5))
+        pin_cpus(2)
+        pooled = qn_avdh(g)
+        pin_cpus(1)
+        assert qn_avdh(g) == pooled
+
+
 class TestTwoVariable:
     def test_closed_golden_values(self):
         assert q2_closed(E(1)) == BiPoly({(0, 1): 1})

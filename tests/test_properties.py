@@ -1,7 +1,8 @@
 """Property tests of the recursion kernel: multiplicativity over disjoint
 unions and invariance under relabeling for every recursive route and
 the closed forms, the row-level moves against set-based versions, the
-closed form's rank-profile walk against per-subset ranks, the
+closed form's rank-profile walk against per-subset ranks, the GF(2)
+choice walk behind avdh and tm against per-choice ranks, the
 transition-state walk against per-state cycle counts, and the Martin
 polynomial through the circle graph against the states."""
 
@@ -12,7 +13,7 @@ from interlacepoly._workers import prefix_bits
 from interlacepoly.eulerian import (EulerianDigraph, _component_histogram,
                                     _incidence, circuit_partition_poly,
                                     enumerate_states, martin_poly)
-from interlacepoly.gf2 import rank
+from interlacepoly.gf2 import choice_ranks, rank
 from interlacepoly.graph import (SimpleGraph, component_masks,
                                  delete_vertex_rows, local_complement_rows,
                                  pivot_rows)
@@ -254,6 +255,63 @@ class TestClosedForm:
             return
         v, w = data.draw(st.sampled_from(edges))
         assert qn_closed(g.pivot(v, w)) == qn_closed(g)
+
+
+# -- the choice walk behind avdh and tm against per-choice ranks -------------
+
+
+@st.composite
+def choice_problems(draw, max_pairs=7, max_cols=9):
+    """Independent base rows and pairs of rows, all in max_cols columns;
+    rows may repeat, lie in the base's span or be zero."""
+    cols = draw(st.integers(0, max_cols))
+    row = st.integers(0, (1 << cols) - 1)
+    base = []
+    for r in draw(st.lists(row, max_size=cols)):
+        if rank(base + [r]) > len(base):
+            base.append(r)
+    pairs = draw(st.lists(st.tuples(row, row), max_size=max_pairs))
+    return tuple(base), tuple(pairs)
+
+
+def brute_choice_ranks(base, pairs):
+    n = len(pairs)
+    hist = [0] * (n + 1)
+    for mask in range(1 << n):
+        picks = [pair[(mask >> i) & 1] for i, pair in enumerate(pairs)]
+        hist[n - (rank(base + tuple(picks)) - rank(base))] += 1
+    return hist
+
+
+@st.composite
+def choices_and_shards(draw):
+    """A choice problem, a prefix width k and cut points that split the
+    2**k prefixes into ranges."""
+    base, pairs = draw(choice_problems())
+    k = draw(st.integers(0, prefix_bits(len(pairs))))
+    cuts = draw(st.lists(st.integers(0, 1 << k), max_size=4))
+    bounds = [0] + sorted(cuts) + [1 << k]
+    return base, pairs, k, list(zip(bounds, bounds[1:]))
+
+
+class TestChoiceWalk:
+    @PROPERTY
+    @given(choice_problems())
+    @example(((), ()))
+    @example(((), ((0, 0),)))
+    @example(((0b11,), ((0b01, 0b10), (0b11, 0b01))))
+    def test_matches_per_choice_ranks(self, problem):
+        base, pairs = problem
+        assert choice_ranks(base, pairs, 0, 0, 1) == brute_choice_ranks(base, pairs)
+
+    @PROPERTY
+    @given(choices_and_shards())
+    @example(((0b1,), ((0b1, 0b10),), 1, [(0, 1), (1, 2)]))
+    def test_prefix_ranges_sum_to_the_whole(self, bpkr):
+        base, pairs, k, ranges = bpkr
+        shards = [choice_ranks(base, pairs, k, a, b) for a, b in ranges]
+        assert ([sum(col) for col in zip(*shards)]
+                == choice_ranks(base, pairs, 0, 0, 1))
 
 
 # -- the Martin polynomial: circle graph against transition states -----------
