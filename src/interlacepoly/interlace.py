@@ -110,15 +110,11 @@ def _per_component(g: SimpleGraph, rec: Callable[[SimpleGraph, dict], object]) -
 def qn_closed(g: SimpleGraph) -> UniPoly:
     """Sum of (x-1)**(|W| - rank(A[W])) over all vertex subsets W, the
     rank taken over GF(2) of the induced adjacency submatrix: the nullity
-    marginal of the rank profile, which one depth-first walk over the
-    subsets computes with a shared elimination.  From n = 16 on the
-    walk's prefixes are split across a process pool with one process per
-    available CPU."""
+    marginal of the rank profile (see _closed_profile)."""
     _require_loopless(g)
     _require_subset_size(g.n)
     n = g.n
-    k = prefix_bits(n)
-    profile = sum_histograms(_rank_profile, (g.adj, n, k), 1 << k, n)
+    profile = _closed_profile(g.adj, n)
     counts = [0] * (n + 1)
     for _, nullity, c in _profile_entries(profile, n):
         counts[nullity] += c
@@ -137,6 +133,15 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
         sub = g.induced_subgraph(v for v in range(g.n) if (mask >> v) & 1)
         counts[sub.n - rank(sub.adj)] += 1
     return poly_from_shift_counts(counts)
+
+
+def _closed_profile(adj: Tuple[int, ...], n: int) -> List[int]:
+    """The rank profile of all 2**n vertex subsets (see _rank_profile),
+    which one depth-first walk over the subsets computes with a shared
+    elimination.  From n = 16 on the walk's prefixes are split across a
+    process pool with one process per available CPU."""
+    k = prefix_bits(n)
+    return sum_histograms(_rank_profile, (adj, n, k), 1 << k, n)
 
 
 def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
@@ -231,9 +236,10 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
     the n x 2n matrix [A | I]: for each index i take either the i-th
     adjacency column or the i-th identity column.
 
-    gf2.choice_ranks walks the choices with one shared elimination, its
-    histogram indexed by the corank.  From n = 16 on the walk's prefixes
-    are split across a process pool with one process per available CPU.
+    gf2.choice_ranks walks the choices, keeping the columns still to be
+    chosen reduced modulo those taken, and histograms them by corank.
+    From n = 16 on the walk's prefixes are split across a process pool
+    with one process per available CPU.
     """
     _require_loopless(g)
     _require_subset_size(g.n)
@@ -298,10 +304,10 @@ def q2_closed(g: SimpleGraph) -> BiPoly:
     """Sum of (x-1)**rank * (y-1)**nullity over all vertex subsets W,
     rank and nullity of the induced adjacency submatrix over GF(2).
     Loops contribute diagonal ones.  Expands the rank profile whose
-    nullity marginal is qn_closed, from one walk over all the subsets in
-    this process."""
+    nullity marginal is qn_closed, pooled from n = 16 on like it (see
+    _closed_profile)."""
     _require_subset_size(g.n)
-    return _bipoly_from_rank_counts(_rank_profile(g.adj, g.n, 0, 0, 1), g.n)
+    return _bipoly_from_rank_counts(_closed_profile(g.adj, g.n), g.n)
 
 
 def q2_reduction(g: SimpleGraph) -> BiPoly:

@@ -261,10 +261,11 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
 
     F-hat is spanned by one vector at each position, a choice between
     the two admitted Klein values (smaller code first).  gf2.choice_ranks
-    walks the choices with one shared elimination of the L-basis and
-    histograms the rank they add: L and F-hat have dimension n each in a
-    space of dimension 2n, so dim(L meet F-hat) = n - gain, the index of
-    the histogram.  From n = 16 on it runs in a process pool with one
+    takes the L-basis first, then walks the choices with the vectors
+    still to be chosen reduced modulo the span so far, and histograms the
+    rank they add: L and F-hat have dimension n each in a space of
+    dimension 2n, so dim(L meet F-hat) = n - gain, the index of the
+    histogram.  From n = 16 on it runs in a process pool with one
     process per available CPU.
     """
     if comp.n != system.n:

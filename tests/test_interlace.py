@@ -154,7 +154,7 @@ class TestTwoVariable:
             for g in all_simple_graphs(n):
                 assert qn_from_q2(g) == qn_closed(g).with_var("y")
 
-    def test_q2_serial_and_qn_pooled_share_the_kernel(self, pin_cpus):
+    def test_q2_and_qn_share_the_pooled_kernel(self, pin_cpus):
         pin_cpus(2)
         g = random_simple_graph(_workers.PARALLEL_THRESHOLD, random.Random(4))
         assert q2_closed(g).eval_at(2) == qn_closed(g).with_var("y")

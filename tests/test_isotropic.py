@@ -302,6 +302,20 @@ class TestTutteMartin:
         pin_cpus(1)
         assert tutte_martin_canonical(g) == pooled
 
+    def test_worker_pool_matches_serial_under_any_presentation(self, pin_cpus):
+        # A non-canonical (A, B) gives a basis and admitted pairs that mix
+        # all three Klein values at every position.
+        rng = random.Random(19)
+        a_codes = [rng.choice((K_X, K_Y, K_Z)) for _ in range(16)]
+        b_codes = [rng.choice([c for c in (K_X, K_Y, K_Z) if c != ac])
+                   for ac in a_codes]
+        a, b = KVector.from_codes(a_codes), KVector.from_codes(b_codes)
+        system = graphic_system(random_simple_graph(16, rng), a, b)
+        pin_cpus(2)
+        pooled = tutte_martin_restricted(system, a + b)
+        pin_cpus(1)
+        assert tutte_martin_restricted(system, a + b) == pooled
+
     def test_cap_enforced(self):
         big = graphic_system(SimpleGraph(ISOTROPIC_CAP + 1))
         comp = KVector.constant(ISOTROPIC_CAP + 1, K_Z)

@@ -300,6 +300,10 @@ class TestChoiceWalk:
     @example(((), ()))
     @example(((), ((0, 0),)))
     @example(((0b11,), ((0b01, 0b10), (0b11, 0b01))))
+    @example(((0b101,), ((0b101, 0b010), (0b001, 0b100))))  # base spans a row
+    @example(((), ((0, 0), (0b01, 0b10), (0, 0), (0b11, 0b01))))  # zero pairs
+    @example(((), ((0b11, 0b01), (0b01, 0b10))))  # zero after the first pick
+    @example(((), ((0b011, 0b100), (0b101, 0b001), (0b110, 0b111))))  # zero after two
     def test_matches_per_choice_ranks(self, problem):
         base, pairs = problem
         assert choice_ranks(base, pairs, 0, 0, 1) == brute_choice_ranks(base, pairs)
@@ -307,6 +311,9 @@ class TestChoiceWalk:
     @PROPERTY
     @given(choices_and_shards())
     @example(((0b1,), ((0b1, 0b10),), 1, [(0, 1), (1, 2)]))
+    @example(((), ((0, 0b1),), 1, [(0, 1), (1, 2)]))  # n = 1, k = 1
+    @example(((0b110,), ((0b010, 0b100), (0b011, 0b001), (0b111, 0b101)), 2,
+              [(0, 1), (1, 3), (3, 4)]))
     def test_prefix_ranges_sum_to_the_whole(self, bpkr):
         base, pairs, k, ranges = bpkr
         shards = [choice_ranks(base, pairs, k, a, b) for a, b in ranges]

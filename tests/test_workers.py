@@ -13,7 +13,7 @@ from interlacepoly import _workers
 from interlacepoly.eulerian import (chord_diagram_from_circuit, circle_graph,
                                     circuit_partition_poly, euler_circuit,
                                     random_eulerian_digraph)
-from interlacepoly.interlace import qn_closed, qn_recursive
+from interlacepoly.interlace import q2_closed, qn_closed, qn_recursive
 from interlacepoly.isotropic import tutte_martin_canonical
 from interlacepoly.poly import UniPoly
 from interlacepoly.verify import random_simple_graph
@@ -88,9 +88,10 @@ class TestProcessCap:
         d = random_eulerian_digraph(N, 3)
         h = circle_graph(chord_diagram_from_circuit(euler_circuit(d)))
         assert qn_closed(g) == tutte_martin_canonical(g) == qn_recursive(g)
+        assert q2_closed(g).eval_at(2) == qn_recursive(g).with_var("y")
         assert circuit_partition_poly(d) == (UniPoly.variable()
                                              * qn_recursive(h).substitute(1))
-        assert inline_pool == [4, 4, 4]
+        assert inline_pool == [4, 4, 4, 4]
 
 
 class TestAffinity:
