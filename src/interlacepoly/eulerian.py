@@ -13,16 +13,17 @@ An Euler circuit visits every vertex exactly twice, so writing the
 visit order around a circle gives a chord diagram; its circle graph
 (chords as vertices, crossings as edges) carries the interlace
 polynomial that the circuit partition polynomial factors through.
-circuit_partition_poly enumerates the states with one depth-first walk
-that links each vertex's pairing into strands of edges and counts the
-cycles they close; enumerate_states traces each state on its own, as
-the reference.  martin_poly takes the interlace polynomial of the circle
-graph instead.
+circuit_partition_poly sums over the states with one depth-first walk
+that links each vertex's pairing into strands of edges, counts the
+cycles they close, and memoizes on the strands left open;
+enumerate_states traces each state on its own, as the reference.
+martin_poly takes the interlace polynomial of the circle graph instead.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import interlace
@@ -30,7 +31,9 @@ from ._workers import prefix_bits, sum_histograms
 from .graph import SimpleGraph, _check_vertex_count, _header_and_pairs
 from .poly import UniPoly
 
-# State enumeration visits 2**n pairing choices.
+# The state walk memoizes on its open ends, so its cost follows the
+# number of distinct open-end states, not the 2**n states; a
+# vertex-count bound until routes are capped by cost.
 EULERIAN_STATE_CAP = 24
 # The Martin polynomial recurses on a circle graph with one vertex per
 # digraph vertex; a vertex-count bound until routes are capped by cost.
@@ -189,17 +192,44 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     starts with edge b (entries of edges inside a strand are stale).
     Linking end a to start b closes a cycle when first[a] == b; otherwise
     it joins the two strands with two writes, which the way back undoes
-    from a and b alone.  Each node costs two links instead of a trace of
-    all 2n edges per state.
+    from a and b alone.
+
+    Once vertices 0..v-1 are decided, the rest of the walk depends only
+    on the strand starts first[a] of the open ends a, the edges with
+    tail < v <= head; every other edge whose head is undecided is a
+    strand of its own.  So the walk is memoized at each level v >= k on
+    those starts, as in the frontier search of Sekine, Imai and Tani
+    (ISAAC 1995).  A node returns the histogram of the cycles closed from
+    its level on, at most 2 * (n - v): the sum of its children's
+    histograms, each shifted by the 0-2 cycles its own links close.
+    Below the first k levels a subtree does not depend on the prefix, so
+    the prefixes of one range share the memo.  A histogram is packed
+    into one int, count i in bits [i * w, (i + 1) * w) with w = n + 1
+    bits, enough for 2**n states, so a shift and a sum are one big-int
+    operation each.
     """
     n = len(ins)
-    hist = [0] * (2 * n + 1)
+    tail = [0] * (2 * n)
+    head = [0] * (2 * n)
+    for v in range(n):
+        for e in outs[v]:
+            tail[e] = v
+        for e in ins[v]:
+            head[e] = v
+    frontier = []
+    for v in range(n):
+        ends = [e for e in range(2 * n) if tail[e] < v <= head[e]]
+        frontier.append(itemgetter(*ends) if ends else lambda first: ())
+    memo: List[Dict[object, int]] = [{} for _ in range(n)]
     first = list(range(2 * n))
     last = list(range(2 * n))
     final = n - 1
+    w = n + 1
+    one = 1 << w  # one state with one cycle
+    two = one << w  # one state with two cycles
 
     # The first k levels take only the choice the current prefix names.
-    def go(v: int, cycles: int) -> None:
+    def go(v: int) -> int:
         a0, a1 = ins[v]
         b = outs[v]
         if v == final:
@@ -207,12 +237,14 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
             # links a0 to its own strand's start closes both; the other
             # joins them and closes one.
             if v >= k:
-                hist[cycles + 1] += 1
-                hist[cycles + 2] += 1
-            else:
-                c = (prefix >> v) & 1
-                hist[cycles + 2 if first[a0] == b[c] else cycles + 1] += 1
-            return
+                return one | two
+            return two if first[a0] == b[(prefix >> v) & 1] else one
+        if v >= k:
+            key = frontier[v](first)
+            hist = memo[v].get(key)
+            if hist is not None:
+                return hist
+        hist = 0
         for c in (0, 1) if v >= k else ((prefix >> v) & 1,):
             b0 = b[c]
             b1 = b[c ^ 1]
@@ -228,17 +260,22 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
             if join1:
                 last[s1] = t1
                 first[t1] = s1
-            go(v + 1, cycles + 2 - join0 - join1)
+            hist += go(v + 1) << (w * (2 - join0 - join1))
             if join1:
                 last[s1] = a1
                 first[t1] = b1
             if join0:
                 last[s0] = a0
                 first[t0] = b0
+        if v >= k:
+            memo[v][key] = hist
+        return hist
 
+    total = 0
     for prefix in range(start, stop):
-        go(0, 0)
-    return hist
+        total += go(0)
+    mask = (1 << w) - 1
+    return [(total >> (w * i)) & mask for i in range(2 * n + 1)]
 
 
 def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
@@ -246,10 +283,11 @@ def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
     The edgeless digraph yields the constant 1 by convention.
 
     One depth-first walk over the states counts their cycles
-    (_component_histogram); enumerate_states, which traces each state on
-    its own, is its reference.  From n = 16 on the walk is split by its
-    first prefix_bits(n) decisions across a process pool with one process
-    per available CPU."""
+    (_component_histogram), memoized on the strand starts of the edges
+    open at each level; enumerate_states, which traces each state on its
+    own, is its reference.  From n = 16 on the walk is split by its first
+    prefix_bits(n) decisions across a process pool with one process per
+    available CPU, and each range of prefixes keeps its own memo."""
     if not d.edges:
         return UniPoly((1,))
     _require_valid(d)

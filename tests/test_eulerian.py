@@ -7,8 +7,10 @@ import random
 import pytest
 
 from interlacepoly import eulerian
+from interlacepoly._workers import prefix_bits
 from interlacepoly.eulerian import (EULERIAN_STATE_CAP, MARTIN_CAP, ChordDiagram,
                                     EulerianDigraph, GraphState,
+                                    _component_histogram, _incidence,
                                     chord_diagram_from_circuit, circle_graph,
                                     circuit_partition_poly,
                                     enumerate_euler_circuits, enumerate_states,
@@ -133,6 +135,26 @@ class TestCircuitPartition:
         d = random_eulerian_digraph(EULERIAN_STATE_CAP + 1, 0)
         with pytest.raises(ValueError, match="capped"):
             circuit_partition_poly(d)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_walk_reaches_the_cap(self, seed):
+        # 2**24 states, so this passes only through the open-end memo.
+        d = random_eulerian_digraph(EULERIAN_STATE_CAP, seed)
+        f = circuit_partition_poly(d)
+        assert f == UniPoly.variable() * martin_poly(d).substitute(1)
+        assert f.evaluate(1) == 2 ** EULERIAN_STATE_CAP
+
+    def test_ranges_with_their_own_memos_sum_to_the_whole(self):
+        # The pool's split on 2 CPUs: 8 ranges of 4 prefixes, each range
+        # walked with a memo of its own.
+        d = random_eulerian_digraph(20, 1)
+        ins, outs = _incidence(d)
+        k = prefix_bits(d.n)
+        shards = [_component_histogram(ins, outs, k, a, a + 4)
+                  for a in range(0, 1 << k, 4)]
+        assert len(shards) == 8
+        assert ([sum(col) for col in zip(*shards)]
+                == _component_histogram(ins, outs, 0, 0, 1))
 
     def test_worker_pool_matches_serial(self, pin_cpus):
         d = random_eulerian_digraph(16, 44)

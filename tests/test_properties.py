@@ -3,8 +3,9 @@ unions and invariance under relabeling for every recursive route and
 the closed forms, the row-level moves against set-based versions, the
 closed form's rank-profile walk against per-subset ranks, the GF(2)
 choice walk behind avdh and tm against per-choice ranks, the
-transition-state walk against per-state cycle counts, and the Martin
-polynomial through the circle graph against the states."""
+transition-state walk against per-state cycle counts and, on larger
+digraphs, against the circle graph, and the Martin polynomial through
+the circle graph against the states."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 from interlacepoly._workers import prefix_bits
 from interlacepoly.eulerian import (EulerianDigraph, _component_histogram,
                                     _incidence, circuit_partition_poly,
-                                    enumerate_states, martin_poly)
+                                    digraph_circle_graph, enumerate_states,
+                                    martin_poly)
 from interlacepoly.gf2 import choice_ranks, rank
 from interlacepoly.graph import (SimpleGraph, component_masks,
                                  delete_vertex_rows, local_complement_rows,
                                  pivot_rows)
 from interlacepoly.interlace import (_rank_profile, q2_closed, q2_reduction,
                                      qn_bouchet, qn_closed, qn_recursive)
+from interlacepoly.poly import UniPoly
 
 # derandomize keeps the suite deterministic, so no example database is
 # kept between runs.
@@ -386,6 +389,17 @@ class TestStateWalk:
 
 
 class TestMartinBridge:
+    @PROPERTY
+    @given(walk_digraphs(max_n=14))
+    @example(TWO_LOOPS)
+    @example(DOUBLED_2CYCLE)
+    def test_walk_matches_the_circle_graph(self, d):
+        # Past the reach of enumerate_states, the memoized walk against
+        # f(D;x) = x * qn(H;x+1) on the circle graph H.
+        h = digraph_circle_graph(d)
+        assert UniPoly(state_walk(d)) == (UniPoly.variable()
+                                          * qn_recursive(h).substitute(1))
+
     @PROPERTY
     @given(walk_digraphs())
     @example(TWO_LOOPS)
