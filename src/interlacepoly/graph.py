@@ -359,17 +359,19 @@ def component_masks(adj: Rows) -> List[int]:
 
 def restrict_rows(adj: Rows, mask: int) -> Rows:
     """Rows of the subgraph induced by mask, its vertices relabeled
-    0, 1, ... in increasing order."""
-    order = sorted(_bits_to_set(mask))
-    index = {u: i for i, u in enumerate(order)}
+    0, 1, ... in increasing order: a vertex's new label is the number of
+    mask vertices below it."""
     out = []
-    for u in order:
+    left = mask
+    while left:
+        low = left & -left
+        left ^= low
+        r = adj[low.bit_length() - 1] & mask
         row = 0
-        r = adj[u] & mask
         while r:
-            low = r & -r
-            r ^= low
-            row |= 1 << index[low.bit_length() - 1]
+            b = r & -r
+            r ^= b
+            row |= 1 << (mask & (b - 1)).bit_count()
         out.append(row)
     return tuple(out)
 

@@ -18,17 +18,24 @@ from __future__ import annotations
 
 from math import comb, prod
 from operator import add
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ._workers import prefix_bits, sum_histograms
 from .gf2 import choice_ranks, rank
-from .graph import Rows, SimpleGraph
+from .graph import Rows, SimpleGraph, component_masks, restrict_rows
 from .poly import BiPoly, UniPoly, poly_from_shift_counts
 
 QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
 
 # Subset-sum methods enumerate 2**n induced subgraphs.
 SUBSET_SUM_CAP = 24
+
+# Entries one call of a memoized recursion (recursive, bouchet,
+# reduction) may store.  An entry of the two-variable reduction takes
+# about 1.7 kB at 22 vertices and one of qn about 0.4 kB, so a capped
+# call stays under about 1 GB.
+RECURSION_MEMO_CAP = 400_000
+
 
 def qn(g: SimpleGraph, method: str = "closed") -> UniPoly:
     """Single-variable interlace polynomial of a loopless graph.
@@ -61,14 +68,15 @@ def qn_recursive(g: SimpleGraph) -> UniPoly:
     qn(G) = qn(G - v) + qn(pivot(G, v, w) - w); qn of n isolated vertices
     is x**n.
 
-    qn is multiplicative over disjoint unions, so each connected
-    component is reduced on its own and the results are multiplied.  The
-    graph is checked once, here; the graphs the moves derive from it are
-    not checked again.  The recursion is memoized on adjacency rows in a
-    memo that lives for this call only."""
+    qn is multiplicative over disjoint unions, so every node of the
+    recursion that is not connected is the product of its components,
+    each reduced on its own; an isolated vertex is a factor x.  The graph
+    is checked once, here; the graphs the moves derive from it are not
+    checked again.  The recursion is memoized on adjacency rows, the
+    components' as well as the nodes', in a memo that lives for this call
+    only and holds at most RECURSION_MEMO_CAP entries."""
     _require_loopless(g)
-    return prod(map(UniPoly, _per_component(g, _qn_recursive_rec)),
-                start=UniPoly.constant(1))
+    return UniPoly(_qn_recursive_rec(g, {}))
 
 
 def _qn_recursive_rec(g: SimpleGraph, memo: Dict[Rows, Tuple[int, ...]]) -> Tuple[int, ...]:
@@ -76,17 +84,25 @@ def _qn_recursive_rec(g: SimpleGraph, memo: Dict[Rows, Tuple[int, ...]]) -> Tupl
     hit = memo.get(adj)
     if hit is not None:
         return hit
-    # Least v with a neighbor, then its least neighbor w; since the least
-    # endpoint is found first, w > v and (v, w) is the lex-least edge.
-    for v, row in enumerate(adj):
-        if row:
-            w = (row & -row).bit_length() - 1
-            a = _qn_recursive_rec(g.delete_vertex(v), memo)
-            b = _qn_recursive_rec(g._pivot_unchecked(v, w).delete_vertex(w), memo)
-            coeffs = _add_coeffs(a, b)
-            break
+    masks = component_masks(adj)
+    if len(masks) > 1:
+        parts = _edged_components(adj, masks)
+        coeffs = (0,) * (len(masks) - len(parts)) + (1,)
+        for m in parts:
+            coeffs = _mul_coeffs(coeffs, _qn_recursive_rec(
+                SimpleGraph(m.bit_count(), restrict_rows(adj, m),
+                            g.loops_allowed, _valid=True), memo))
+    elif len(adj) > 1:
+        # Connected, so vertex 0 has a neighbor; its least neighbor w
+        # makes (0, w) the lex-least edge.
+        row = adj[0]
+        w = (row & -row).bit_length() - 1
+        a = _qn_recursive_rec(g.delete_vertex(0), memo)
+        b = _qn_recursive_rec(g._pivot_unchecked(0, w).delete_vertex(w), memo)
+        coeffs = _add_coeffs(a, b)
     else:
         coeffs = (0,) * len(adj) + (1,)
+    _check_memo_size(memo)
     memo[adj] = coeffs
     return coeffs
 
@@ -97,11 +113,27 @@ def _add_coeffs(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(map(add, a, b)) + a[len(b):]
 
 
-def _per_component(g: SimpleGraph, rec: Callable[[SimpleGraph, dict], object]) -> list:
-    """rec on each connected component of g, relabeled, in order of least
-    vertex, with one memo shared by the components."""
-    memo: dict = {}
-    return [rec(c, memo) for c in g.components()]
+def _mul_coeffs(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return tuple(out)
+
+
+def _edged_components(adj: Rows, masks: List[int]) -> List[int]:
+    """The component masks that are not a lone loopless vertex.  A
+    component's highest vertex has a zero row iff it is such a vertex."""
+    return [m for m in masks if adj[m.bit_length() - 1]]
+
+
+def _check_memo_size(memo: dict) -> None:
+    """Called before a recursion stores a memo entry."""
+    if len(memo) >= RECURSION_MEMO_CAP:
+        raise ValueError(
+            f"the recursion memo is capped at {RECURSION_MEMO_CAP} graphs; "
+            "this graph needs more")
 
 
 # -- closed subset sum --------------------------------------------------
@@ -259,11 +291,15 @@ def qn_bouchet(g: SimpleGraph) -> UniPoly:
     qn(G) = qn(G - v) + qn(lc(lc(lc(G, v), w), v) - v), where lc is
     local complementation.
 
-    As in qn_recursive, the components are reduced one at a time and
-    multiplied; the graph is checked once, on entry, and the recursion is
-    memoized on adjacency rows with a memo for this call only."""
+    The graph is checked once, on entry, and split into its connected
+    components, which are reduced one at a time and multiplied; unlike
+    qn_recursive the recursion does not split again below the top, since
+    that made it slower.  It is memoized on adjacency rows in one memo
+    for this call, shared by the components and capped like
+    qn_recursive's."""
     _require_loopless(g)
-    return prod(map(UniPoly, _per_component(g, _qn_bouchet_rec)),
+    memo: Dict[Rows, Tuple[int, ...]] = {}
+    return prod((UniPoly(_qn_bouchet_rec(c, memo)) for c in g.components()),
                 start=UniPoly.constant(1))
 
 
@@ -283,6 +319,7 @@ def _qn_bouchet_rec(g: SimpleGraph, memo: Dict[Rows, Tuple[int, ...]]) -> Tuple[
         flipped = g.local_complement(0).local_complement(w).local_complement(0)
         b = _qn_bouchet_rec(flipped.delete_vertex(0), memo)
         coeffs = _add_coeffs(a, b)
+    _check_memo_size(memo)
     memo[adj] = coeffs
     return coeffs
 
@@ -319,11 +356,14 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     complementation at a looped vertex flips loops as well.  A graph
     with neither (edgeless) is the base case y**n.
 
-    q2 is multiplicative over disjoint unions, so each connected
-    component is reduced on its own and the results are multiplied.  The
-    graphs the moves derive are not checked again, and the reduction is
-    memoized on adjacency rows in a memo that lives for this call only."""
-    return prod(_per_component(g, _q2_reduction_rec), start=BiPoly.constant(1))
+    q2 is multiplicative over disjoint unions, so every node of the
+    reduction that is not connected is the product of its components,
+    each reduced on its own; an isolated loopless vertex is a factor y.
+    The graphs the moves derive are not checked again, and the reduction
+    is memoized on adjacency rows, the components' as well as the
+    nodes', in a memo that lives for this call only and holds at most
+    RECURSION_MEMO_CAP entries."""
+    return _q2_reduction_rec(g, {})
 
 
 _X_MINUS_1 = BiPoly({(1, 0): 1, (0, 0): -1})
@@ -335,8 +375,15 @@ def _q2_reduction_rec(g: SimpleGraph, memo: Dict[Rows, BiPoly]) -> BiPoly:
     hit = memo.get(adj)
     if hit is not None:
         return hit
-    edge = _least_loopless_edge(adj)
-    if edge is not None:
+    masks = component_masks(adj)
+    if len(masks) > 1:
+        parts = _edged_components(adj, masks)
+        res = BiPoly({(0, len(masks) - len(parts)): 1})
+        for m in parts:
+            res = res * _q2_reduction_rec(
+                SimpleGraph(m.bit_count(), restrict_rows(adj, m),
+                            g.loops_allowed, _valid=True), memo)
+    elif (edge := _least_loopless_edge(adj)) is not None:
         a, b = edge
         # a < b, so deleting b leaves a's index unchanged.
         minus_b = g._pivot_unchecked(a, b).delete_vertex(b)
@@ -357,6 +404,7 @@ def _q2_reduction_rec(g: SimpleGraph, memo: Dict[Rows, BiPoly]) -> BiPoly:
                        g.local_complement(a).delete_vertex(a), memo))
         else:
             res = BiPoly({(0, len(adj)): 1})
+    _check_memo_size(memo)
     memo[adj] = res
     return res
 

@@ -235,6 +235,15 @@ class TestParserContract:
         err = run_err(capsys, ["martin", TWO_LOOP_TEXT])
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["qn", "--method", "recursive"], ["qn", "--method", "bouchet"],
+        ["q2", "--method", "reduction"]], ids=["recursive", "bouchet", "reduction"])
+    def test_memo_cap_is_one_error_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(interlace, "RECURSION_MEMO_CAP", 3)
+        c6 = "6 6 0 1 1 2 2 3 3 4 4 5 0 5"
+        err = run_err(capsys, [argv[0], c6] + argv[1:])
+        assert err.count("\n") == 1 and "capped" in err
+
     def test_console_script_round_trip(self):
         proc = subprocess.run(
             [sys.executable, "-m", "interlacepoly", "qn", "-"],

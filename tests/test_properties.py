@@ -1,11 +1,14 @@
 """Property tests of the recursion kernel: multiplicativity over disjoint
 unions and invariance under relabeling for every recursive route and
-the closed forms, the row-level moves against set-based versions, the
+the closed forms, the recursions that split components at every node
+against the closed forms, the row-level moves against set-based versions, the
 closed form's rank-profile walk against per-subset ranks, the GF(2)
 choice walk behind avdh and tm against per-choice ranks, the
 transition-state walk against per-state cycle counts and, on larger
 digraphs, against the circle graph, and the Martin polynomial through
 the circle graph against the states."""
+
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -100,6 +103,40 @@ class TestRelabeling:
         g, perm = gp
         h = relabel(g, perm)
         assert q2_reduction(h) == q2_reduction(g) == q2_closed(h)
+
+
+@st.composite
+def scattered_unions(draw, max_n, loops=False):
+    """A disjoint union of random graphs and isolated vertices, at most
+    max_n vertices in all, relabeled by a random permutation; the
+    recursions split such graphs at their root and again below it."""
+    g = SimpleGraph(0)
+    while g.n < max_n and draw(st.booleans()):
+        g = disjoint_union(g, draw(graphs(max_n=min(7, max_n - g.n), loops=loops)))
+    g = disjoint_union(g, SimpleGraph(draw(st.integers(0, min(3, max_n - g.n)))))
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+def sparse_graph(n, seed):
+    """A seeded random graph with average degree 2.6."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return SimpleGraph.from_edges(n, random.Random(seed).sample(pairs, round(1.3 * n)))
+
+
+class TestSplitAtEveryNode:
+    @PROPERTY
+    @given(scattered_unions(14))
+    def test_qn_recursive_matches_closed(self, g):
+        assert qn_recursive(g) == qn_closed(g)
+
+    @PROPERTY
+    @given(scattered_unions(12, loops=True))
+    def test_q2_reduction_matches_closed(self, g):
+        assert q2_reduction(g) == q2_closed(g)
+
+    def test_qn_recursive_matches_bouchet_on_a_sparse_graph(self):
+        g = sparse_graph(30, 1)
+        assert qn_recursive(g) == qn_bouchet(g)
 
 
 # -- row-level moves against set-based versions ---------------------------
