@@ -29,7 +29,7 @@ from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequenc
 from . import interlace
 from ._workers import prefix_bits, sum_histograms
 from .graph import SimpleGraph, _check_vertex_count, _header_and_pairs
-from .poly import UniPoly
+from .poly import UniPoly, unpack_fields
 
 # The state walk memoizes on its open ends, so its cost follows the
 # number of distinct open-end states, not the 2**n states; a
@@ -274,8 +274,7 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     total = 0
     for prefix in range(start, stop):
         total += go(0)
-    mask = (1 << w) - 1
-    return [(total >> (w * i)) & mask for i in range(2 * n + 1)]
+    return unpack_fields(total, w, 2 * n + 1)
 
 
 def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:

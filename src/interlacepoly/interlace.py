@@ -17,13 +17,12 @@ x=2 specialization.
 from __future__ import annotations
 
 from math import comb, prod
-from operator import add
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ._workers import prefix_bits, sum_histograms
 from .gf2 import choice_ranks, rank
 from .graph import Rows, SimpleGraph, component_masks, restrict_rows
-from .poly import BiPoly, UniPoly, poly_from_shift_counts
+from .poly import BiPoly, UniPoly, poly_from_shift_counts, unpack_fields
 
 QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
 
@@ -31,9 +30,10 @@ QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
 SUBSET_SUM_CAP = 24
 
 # Entries one call of a memoized recursion (recursive, bouchet,
-# reduction) may store.  An entry of the two-variable reduction takes
-# about 1.7 kB at 22 vertices and one of qn about 0.4 kB, so a capped
-# call stays under about 1 GB.
+# reduction) may store.  Peak RSS per entry on sparse graphs: 0.7 kB for
+# the two-variable reduction at 22 vertices and 1.2 kB at 28, where a
+# capped call took 457 MB; 0.4 kB for qn at 32 to 38 vertices.  The
+# packed values, and so the entries, grow with n.
 RECURSION_MEMO_CAP = 400_000
 
 
@@ -74,12 +74,19 @@ def qn_recursive(g: SimpleGraph) -> UniPoly:
     is checked once, here; the graphs the moves derive from it are not
     checked again.  The recursion is memoized on adjacency rows, the
     components' as well as the nodes', in a memo that lives for this call
-    only and holds at most RECURSION_MEMO_CAP entries."""
+    only and holds at most RECURSION_MEMO_CAP entries.
+
+    A node's polynomial is one int, coefficient k in bits [k*w, (k+1)*w)
+    with w = n + 1 for the input's n.  qn(G; 2) = 2**m on m vertices and
+    no coefficient is negative, so every coefficient of every node is at
+    most 2**n and fits its field.  A sum is +, the factor x is << w and a
+    product of components is *."""
     _require_loopless(g)
-    return UniPoly(_qn_recursive_rec(g, {}))
+    w = g.n + 1
+    return UniPoly(unpack_fields(_qn_recursive_rec(g, w, {}), w, w))
 
 
-def _qn_recursive_rec(g: SimpleGraph, memo: Dict[Rows, Tuple[int, ...]]) -> Tuple[int, ...]:
+def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
     adj = g.adj
     hit = memo.get(adj)
     if hit is not None:
@@ -87,39 +94,27 @@ def _qn_recursive_rec(g: SimpleGraph, memo: Dict[Rows, Tuple[int, ...]]) -> Tupl
     masks = component_masks(adj)
     if len(masks) > 1:
         parts = _edged_components(adj, masks)
-        coeffs = (0,) * (len(masks) - len(parts)) + (1,)
+        packed = 1 << w * (len(masks) - len(parts))
         for m in parts:
-            coeffs = _mul_coeffs(coeffs, _qn_recursive_rec(
-                SimpleGraph(m.bit_count(), restrict_rows(adj, m),
-                            g.loops_allowed, _valid=True), memo))
+            rows = restrict_rows(adj, m)
+            part = memo.get(rows)
+            if part is None:
+                part = _qn_recursive_rec(
+                    SimpleGraph(m.bit_count(), rows, g.loops_allowed, _valid=True),
+                    w, memo)
+            packed *= part
     elif len(adj) > 1:
-        # Connected, so vertex 0 has a neighbor; its least neighbor w
-        # makes (0, w) the lex-least edge.
+        # Connected, so vertex 0 has a neighbor; its least neighbor v
+        # makes (0, v) the lex-least edge.
         row = adj[0]
-        w = (row & -row).bit_length() - 1
-        a = _qn_recursive_rec(g.delete_vertex(0), memo)
-        b = _qn_recursive_rec(g._pivot_unchecked(0, w).delete_vertex(w), memo)
-        coeffs = _add_coeffs(a, b)
+        v = (row & -row).bit_length() - 1
+        packed = (_qn_recursive_rec(g.delete_vertex(0), w, memo)
+                  + _qn_recursive_rec(g._pivot_unchecked(0, v).delete_vertex(v), w, memo))
     else:
-        coeffs = (0,) * len(adj) + (1,)
+        packed = 1 << w * len(adj)
     _check_memo_size(memo)
-    memo[adj] = coeffs
-    return coeffs
-
-
-def _add_coeffs(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(map(add, a, b)) + a[len(b):]
-
-
-def _mul_coeffs(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b, i):
-                out[j] += c * d
-    return tuple(out)
+    memo[adj] = packed
+    return packed
 
 
 def _edged_components(adj: Rows, masks: List[int]) -> List[int]:
@@ -296,32 +291,34 @@ def qn_bouchet(g: SimpleGraph) -> UniPoly:
     qn_recursive the recursion does not split again below the top, since
     that made it slower.  It is memoized on adjacency rows in one memo
     for this call, shared by the components and capped like
-    qn_recursive's."""
+    qn_recursive's.  Polynomials are packed ints with qn_recursive's
+    field width w = n + 1, so the product over the components is an int
+    product."""
     _require_loopless(g)
-    memo: Dict[Rows, Tuple[int, ...]] = {}
-    return prod((UniPoly(_qn_bouchet_rec(c, memo)) for c in g.components()),
-                start=UniPoly.constant(1))
+    w = g.n + 1
+    memo: Dict[Rows, int] = {}
+    packed = prod(_qn_bouchet_rec(c, w, memo) for c in g.components())
+    return UniPoly(unpack_fields(packed, w, w))
 
 
-def _qn_bouchet_rec(g: SimpleGraph, memo: Dict[Rows, Tuple[int, ...]]) -> Tuple[int, ...]:
+def _qn_bouchet_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
     adj = g.adj
     if not adj:
-        return (1,)
+        return 1
     hit = memo.get(adj)
     if hit is not None:
         return hit
     row = adj[0]
     if row == 0:
-        coeffs: Tuple[int, ...] = (0,) + _qn_bouchet_rec(g.delete_vertex(0), memo)
+        packed = _qn_bouchet_rec(g.delete_vertex(0), w, memo) << w
     else:
-        w = (row & -row).bit_length() - 1
-        a = _qn_bouchet_rec(g.delete_vertex(0), memo)
-        flipped = g.local_complement(0).local_complement(w).local_complement(0)
-        b = _qn_bouchet_rec(flipped.delete_vertex(0), memo)
-        coeffs = _add_coeffs(a, b)
+        v = (row & -row).bit_length() - 1
+        flipped = g.local_complement(0).local_complement(v).local_complement(0)
+        packed = (_qn_bouchet_rec(g.delete_vertex(0), w, memo)
+                  + _qn_bouchet_rec(flipped.delete_vertex(0), w, memo))
     _check_memo_size(memo)
-    memo[adj] = coeffs
-    return coeffs
+    memo[adj] = packed
+    return packed
 
 
 # -- isotropic-system route -----------------------------------------------
@@ -362,15 +359,24 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     The graphs the moves derive are not checked again, and the reduction
     is memoized on adjacency rows, the components' as well as the
     nodes', in a memo that lives for this call only and holds at most
-    RECURSION_MEMO_CAP entries."""
-    return _q2_reduction_rec(g, {})
+    RECURSION_MEMO_CAP entries.
+
+    A node carries its rank profile (see _rank_profile) as the polynomial
+    in u = x-1 and v = y-1 it stands for, packed into one int: the count
+    of index i = rank*(n+1) + |W| in bits [i*w, (i+1)*w), with w = n + 1
+    for the input's n, so v is 1 << w and u is 1 << w*(w+1).  The edge
+    step is A + B + C*u**2 - C, the looped step A + C*u and an isolated
+    loopless vertex a factor 1 + v.  The term -C borrows across fields,
+    but every stored value is a profile of at most 2**n subsets, whose
+    counts fit their fields.  The final profile is expanded like
+    q2_closed's."""
+    n = g.n
+    w = n + 1
+    packed = _q2_reduction_rec(g, w, {})
+    return _bipoly_from_rank_counts(unpack_fields(packed, w, w * w), n)
 
 
-_X_MINUS_1 = BiPoly({(1, 0): 1, (0, 0): -1})
-_X_MINUS_1_SQ_MINUS_1 = BiPoly({(2, 0): 1, (1, 0): -2})
-
-
-def _q2_reduction_rec(g: SimpleGraph, memo: Dict[Rows, BiPoly]) -> BiPoly:
+def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
     adj = g.adj
     hit = memo.get(adj)
     if hit is not None:
@@ -378,19 +384,23 @@ def _q2_reduction_rec(g: SimpleGraph, memo: Dict[Rows, BiPoly]) -> BiPoly:
     masks = component_masks(adj)
     if len(masks) > 1:
         parts = _edged_components(adj, masks)
-        res = BiPoly({(0, len(masks) - len(parts)): 1})
+        packed = ((1 << w) + 1) ** (len(masks) - len(parts))
         for m in parts:
-            res = res * _q2_reduction_rec(
-                SimpleGraph(m.bit_count(), restrict_rows(adj, m),
-                            g.loops_allowed, _valid=True), memo)
+            rows = restrict_rows(adj, m)
+            part = memo.get(rows)
+            if part is None:
+                part = _q2_reduction_rec(
+                    SimpleGraph(m.bit_count(), rows, g.loops_allowed, _valid=True),
+                    w, memo)
+            packed *= part
     elif (edge := _least_loopless_edge(adj)) is not None:
         a, b = edge
         # a < b, so deleting b leaves a's index unchanged.
         minus_b = g._pivot_unchecked(a, b).delete_vertex(b)
-        res = (_q2_reduction_rec(g.delete_vertex(a), memo)
-               + _q2_reduction_rec(minus_b, memo)
-               + _X_MINUS_1_SQ_MINUS_1 * _q2_reduction_rec(
-                   minus_b.delete_vertex(a), memo))
+        packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
+                  + _q2_reduction_rec(minus_b, w, memo))
+        c = _q2_reduction_rec(minus_b.delete_vertex(a), w, memo)
+        packed += (c << 2 * w * (w + 1)) - c  # C*u**2 - C
     else:
         looped = None
         for v, row in enumerate(adj):
@@ -399,14 +409,14 @@ def _q2_reduction_rec(g: SimpleGraph, memo: Dict[Rows, BiPoly]) -> BiPoly:
                 break
         if looped is not None:
             a = looped
-            res = (_q2_reduction_rec(g.delete_vertex(a), memo)
-                   + _X_MINUS_1 * _q2_reduction_rec(
-                       g.local_complement(a).delete_vertex(a), memo))
+            packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
+                      + (_q2_reduction_rec(g.local_complement(a).delete_vertex(a),
+                                           w, memo) << w * (w + 1)))  # + C*u
         else:
-            res = BiPoly({(0, len(adj)): 1})
+            packed = ((1 << w) + 1) ** len(adj)
     _check_memo_size(memo)
-    memo[adj] = res
-    return res
+    memo[adj] = packed
+    return packed
 
 
 def _least_loopless_edge(adj: Rows) -> Optional[Tuple[int, int]]:

@@ -8,7 +8,7 @@ identity checks demand bit-exact equality.
 from __future__ import annotations
 
 import json
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def _trim(coeffs: Sequence[int]) -> Tuple[int, ...]:
@@ -249,3 +249,15 @@ def poly_from_shift_counts(counts: Sequence[int]) -> UniPoly:
     exponents becomes a polynomial in the shifted variable.
     """
     return UniPoly(counts).substitute(-1)
+
+
+def unpack_fields(packed: int, width: int, count: int) -> List[int]:
+    """The count width-bit fields of a nonnegative int, lowest first.
+
+    The recursions and the state walk carry a histogram or a polynomial
+    as one int, entry i in bits [i * width, (i + 1) * width), so that a
+    sum, a shift or a product is one big-int operation (Kronecker
+    substitution); this reads the entries back.
+    """
+    mask = (1 << width) - 1
+    return [(packed >> (width * i)) & mask for i in range(count)]

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from interlacepoly import _workers, interlace
-from interlacepoly.graph import SimpleGraph, parse_graph
+from interlacepoly.graph import MAX_VERTICES, SimpleGraph, parse_graph
 from interlacepoly.interlace import (QN_METHODS, SUBSET_SUM_CAP, q2_closed,
                                      q2_reduction, qn, qn_avdh,
                                      qn_bouchet, qn_closed,
@@ -130,8 +130,10 @@ class TestTwoVariable:
 
     def test_reduction_golden_values(self):
         assert q2_reduction(K2) == q2_closed(K2)
+        assert str(q2_reduction(K2)) == "x^2 - 2*x + 2*y"
         loop = SimpleGraph(1, [1], loops_allowed=True)
         assert q2_reduction(loop) == q2_closed(loop)
+        assert str(q2_reduction(loop)) == "x"
 
     def test_reduction_matches_closed_on_all_loop_patterns(self):
         for n in range(4):
@@ -158,6 +160,29 @@ class TestTwoVariable:
         pin_cpus(2)
         g = random_simple_graph(_workers.PARALLEL_THRESHOLD, random.Random(4))
         assert q2_closed(g).eval_at(2) == qn_closed(g).with_var("y")
+
+
+class TestFieldWidth:
+    """The recursions pack a polynomial into one int with (n+1)-bit
+    fields; at MAX_VERTICES a coefficient or count reaches 2**62."""
+
+    N = MAX_VERTICES
+    K = SimpleGraph.from_edges(N, [(u, v) for u in range(N) for v in range(u)])
+
+    def test_qn_of_the_complete_graph(self):
+        # A subset of K_n has nullity 1 if its size is odd and 0 if it is
+        # even, so qn(K_n) = 2**(n-1) + 2**(n-1) * (x-1) = 2**(n-1) * x.
+        expected = UniPoly((0, 1 << self.N - 1))
+        assert qn_recursive(self.K) == expected
+        assert qn_bouchet(self.K) == expected
+
+    def test_q2_of_the_complete_graph_at_x_2(self):
+        assert q2_reduction(self.K).eval_at(2) == UniPoly((0, 1 << self.N - 1), var="y")
+
+    def test_q2_of_looped_and_edgeless_graphs(self):
+        looped = SimpleGraph(self.N, [1 << v for v in range(self.N)], loops_allowed=True)
+        assert q2_reduction(looped) == BiPoly({(self.N, 0): 1})
+        assert q2_reduction(SimpleGraph(self.N)) == BiPoly({(0, self.N): 1})
 
 
 class TestParsedInputs:

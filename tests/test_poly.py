@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from interlacepoly.poly import BiPoly, UniPoly, poly_from_shift_counts
+from interlacepoly.poly import BiPoly, UniPoly, poly_from_shift_counts, unpack_fields
 
 
 class TestUniPolyBasics:
@@ -179,3 +179,17 @@ class TestShiftedPowers:
     def test_poly_from_shift_counts_empty(self):
         assert poly_from_shift_counts([]).is_zero()
         assert poly_from_shift_counts([0, 0]).is_zero()
+
+
+class TestPackedFields:
+    def test_fields_round_trip(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            width = rng.randrange(1, 70)
+            fields = [rng.randrange(1 << width) for _ in range(rng.randrange(1, 9))]
+            packed = sum(f << width * i for i, f in enumerate(fields))
+            assert unpack_fields(packed, width, len(fields)) == fields
+
+    def test_zero_fields_are_kept(self):
+        assert unpack_fields(0, 3, 4) == [0, 0, 0, 0]
+        assert unpack_fields(1 << 64, 64, 3) == [0, 1, 0]

@@ -134,6 +134,12 @@ class TestSplitAtEveryNode:
     def test_q2_reduction_matches_closed(self, g):
         assert q2_reduction(g) == q2_closed(g)
 
+    @PROPERTY
+    @given(scattered_unions(14))
+    def test_qn_bouchet_matches_closed(self, g):
+        # bouchet multiplies its components' packed ints at the top.
+        assert qn_bouchet(g) == qn_closed(g)
+
     def test_qn_recursive_matches_bouchet_on_a_sparse_graph(self):
         g = sparse_graph(30, 1)
         assert qn_recursive(g) == qn_bouchet(g)
