@@ -18,6 +18,19 @@ def prefix_bits(n: int) -> int:
     return min(n, 5)
 
 
+def shard_bits(n: int) -> int:
+    """The prefix width k a route passes its kernel, which sum_histograms
+    then splits as 2**k work units: prefix_bits(n) where the sum goes to
+    a pool, and 0 where it runs in this process, so that the walk is one
+    tree instead of 2**prefix_bits(n) walks that each repeat its first
+    levels."""
+    return 0 if _in_place(n, available_parallelism()) else prefix_bits(n)
+
+
+def _in_place(n: int, procs: int) -> bool:
+    return procs <= 1 or n < PARALLEL_THRESHOLD
+
+
 def available_parallelism() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the CPU count."""
@@ -37,7 +50,7 @@ def sum_histograms(kernel: Callable[..., List[int]], args: Sequence,
     range.  The pool starts all its processes at the first submit, so it
     starts min(available parallelism, ranges) of them."""
     procs = available_parallelism()
-    if procs <= 1 or n < PARALLEL_THRESHOLD:
+    if _in_place(n, procs):
         return kernel(*args, 0, units)
     step = max(1, units // (procs * 4))
     ranges = [(start, min(start + step, units)) for start in range(0, units, step)]

@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import interlace
-from ._workers import prefix_bits, sum_histograms
+from ._workers import shard_bits, sum_histograms
 from .graph import SimpleGraph, _check_vertex_count, _header_and_pairs
 from .poly import UniPoly, unpack_fields
 
@@ -291,7 +291,7 @@ def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
         return UniPoly((1,))
     _require_valid(d)
     _require_state_size(d.n)
-    k = prefix_bits(d.n)
+    k = shard_bits(d.n)
     return UniPoly(sum_histograms(_component_histogram, (*_incidence(d), k),
                                   1 << k, d.n))
 

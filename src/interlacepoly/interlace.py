@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ._workers import prefix_bits, sum_histograms
+from ._workers import shard_bits, sum_histograms
 from .gf2 import choice_ranks, rank
 from .graph import Rows, SimpleGraph, component_masks, restrict_rows
 from .poly import BiPoly, UniPoly, poly_from_shift_counts, unpack_fields
@@ -35,6 +35,10 @@ SUBSET_SUM_CAP = 24
 # capped call took 457 MB; 0.4 kB for qn at 32 to 38 vertices.  The
 # packed values, and so the entries, grow with n.
 RECURSION_MEMO_CAP = 400_000
+
+# The closed rank profile memoizes the levels with at most this many
+# undecided vertices, which bounds its memo whatever n (see _rank_profile).
+MEMO_LEVELS = 4
 
 
 def qn(g: SimpleGraph, method: str = "closed") -> UniPoly:
@@ -137,7 +141,9 @@ def _check_memo_size(memo: dict) -> None:
 def qn_closed(g: SimpleGraph) -> UniPoly:
     """Sum of (x-1)**(|W| - rank(A[W])) over all vertex subsets W, the
     rank taken over GF(2) of the induced adjacency submatrix: the nullity
-    marginal of the rank profile (see _closed_profile)."""
+    marginal of the rank profile, which a walk by symmetric elimination
+    computes, memoized over its last levels (see _rank_profile), pooled
+    from n = 16 on (see _closed_profile)."""
     _require_loopless(g)
     _require_subset_size(g.n)
     n = g.n
@@ -164,10 +170,13 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
 
 def _closed_profile(adj: Tuple[int, ...], n: int) -> List[int]:
     """The rank profile of all 2**n vertex subsets (see _rank_profile),
-    which one depth-first walk over the subsets computes with a shared
-    elimination.  From n = 16 on the walk's prefixes are split across a
-    process pool with one process per available CPU."""
-    k = prefix_bits(n)
+    which one depth-first walk over the subsets computes by symmetric
+    elimination, memoized over its last levels.  From n = 16 on, with
+    more than one CPU available, the walk is split by its first
+    prefix_bits(n) decisions across a process pool with one process per
+    CPU, and each range keeps a memo of its own; in this process it is
+    one walk over the whole tree."""
+    k = shard_bits(n)
     return sum_histograms(_rank_profile, (adj, n, k), 1 << k, n)
 
 
@@ -177,74 +186,125 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     subsets W whose first k vertices, read as the bits of a prefix, lie
     in [start, stop); flat at rank*(n+1) + |W|.  Loops are diagonal ones.
 
-    A depth-first walk decides vertex 0, 1, ..., n-1 in turn and keeps
-    one echelon form of the chosen vertices' rows, restricted to the
-    columns C that can still be in W: the chosen and the undecided
-    vertices.  A row's pivot is its lowest bit in C.  Including v
-    reduces adj[v] & C against the pivots; excluding v drops column v,
-    and only the row whose pivot is v is reduced again.  At a leaf C = W.
-    Each node costs one reduction instead of one elimination per subset.
+    A depth-first walk decides vertex 0, 1, ..., n-1 in turn and carries
+    a Schur complement of A instead of an echelon form.  At level v the
+    chosen vertices W1 split into eliminated ones E, whose block A[E, E]
+    is nonsingular of rank r, and pending ones P; U = {v, ..., n-1} is
+    undecided.  M is the Schur complement of A[E, E] on P and U, so that
+    rank(A[W1 u W2]) = r + rank(M[P u W2]) for every W2 in U.  The walk
+    keeps M[P, P] = 0.  It carries the rows of M on U as `rows`, rows[i]
+    the row of vertex v + i with its columns keeping their labels, and
+    the rows of M[P, U] as `pend`, described below; bits below v are
+    stale and never read.  Excluding v costs nothing.  Including v
+    eliminates what it can:
+
+      a pending row rp has bit v: pivot on the block of p and v, which
+        is [[0, 1], [1, c]] with c = M[v, v] and so nonsingular; rank + 2.
+        An undecided row x becomes
+        x ^ (x_p ? rv ^ (c ? rp : 0) : 0) ^ (x_v ? rp : 0), with
+        x_p = M[x, p] read from bit x of rp; every other pending row q
+        with bit v becomes q ^ rp (its q_p is 0, since M[P, P] = 0);
+      else v is looped: pivot on v; rank + 1.  An undecided row x
+        becomes x ^ (x_v ? rv : 0), and no pending row has bit v;
+      else v joins P, which keeps M[P, P] = 0.
+
+    Why the last levels can be memoized: write B = M[P, W2] and
+    C = M[W2, W2].  With M[P, P] = 0, M[P u W2] = [[0, B], [B^T, C]].  For
+    an invertible T on P, the congruence by T + I keeps the rank and the
+    zero block and turns B into T B, so the rank depends on B only
+    through its row space, the row space of M[P, U] restricted to W2.
+    So below level v the walk depends only on M[U, U] and on D, the row
+    space of M[P, U].  The same congruence lets the walk carry P as D
+    itself: `pend` is D's basis in reduced echelon form, each row led
+    by its highest live bit (a column >= v), no two by the same bit and
+    no leading bit set in another row, sorted by that bit.  A vertex
+    that joins P enters as its row reduced by that basis, and not at
+    all if that leaves no live bit; deciding v drops the row led by v,
+    which has no live bit left; a pivot takes rp as the pending row of
+    least leading bit that has bit v, so that q ^ rp keeps q's leading
+    bit.
+
+    A node returns the histogram of its subtree relative to its own
+    rank and size, packed into one int with (n+1)-bit fields at the
+    flat index: each subtree holds at most 2**n subsets, so a count
+    fits its field.  Including v shifts the child's histogram by one
+    index, plus n+1 per rank gained.  Each level v with
+    max(k, n - MEMO_LEVELS) <= v < n-1 is memoized on
+    (x >> v for the rows of U, D in reduced echelon form shifted to
+    start at v); the last level counts its two leaves in place, since
+    its key would cost more than its count.  With u = n - v <= 4
+    undecided vertices there are at most 2**(u(u+1)/2) residuals, or
+    2**(u(u-1)/2) on loopless inputs, whose residuals stay loopless,
+    times 67 subspaces of GF(2)**4 or fewer: at most 4,426 keys on
+    loopless inputs and 69,672 on looped ones, whatever n.  Below the
+    first k levels a subtree does not depend on the prefix, so the
+    prefixes of one range share the memo.
     """
     if n == 0:
         return [stop - start]
-    step = n + 1
-    hist = [0] * (step * step)
+    w = n + 1
     last = n - 1
-    piv: Dict[int, int] = {}  # pivot bit -> row; keys outside C are stale
+    lo = max(k, n - MEMO_LEVELS)
+    # The shifts of a histogram by one more vertex, with 0, 1 or 2 more
+    # rank: 1, n + 2 and 2n + 3 indices of w bits.
+    grow = w
+    rank1 = w * (w + 1)
+    rank2 = w * (2 * w + 1)
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
 
-    # at is the histogram index of the subset chosen so far: a vertex
-    # adds 1 to it, a row step.  The first k levels take only the branch
-    # the current prefix names; the last level counts its leaves in place.
-    def go(v: int, cols: int, at: int) -> None:
-        bit = 1 << v
-        if v >= k or prefix & bit:  # include v
-            r = adj[v] & cols
-            while r:
-                low = r & -r
-                p = piv.get(low)
-                if p is None:
-                    break
-                r = (r ^ p) & cols
-            if v == last:
-                hist[at + step + 1 if r else at + 1] += 1
-            elif r:
-                piv[low] = r
-                go(v + 1, cols, at + step + 1)
-                del piv[low]
-            else:
-                go(v + 1, cols, at + 1)
-        if v >= k or not prefix & bit:  # exclude v
-            cols ^= bit
-            # The row with pivot v keeps its key: below here v is out of
-            # C, so no reduction looks it up, and above it is valid again.
-            r = piv.get(bit)
-            if r is None:
-                if v == last:
-                    hist[at] += 1
+    # The first k levels take only the branch the current prefix names.
+    def go(v: int, rows: List[int], pend: List[int]) -> int:
+        rv = rows[0]
+        if v == last:
+            hist = 1 if v >= k or not prefix >> v & 1 else 0
+            if v >= k or prefix >> v & 1:
+                # Only a row led by v can have bit v; it comes first.
+                if pend and pend[0] >> v & 1:
+                    hist += 1 << rank2
                 else:
-                    go(v + 1, cols, at)
-                return
-            # Without column v its bits, and those of every row it meets,
-            # lie above v, where no column has been dropped: no mask needed.
-            r ^= bit
-            while r:
-                low = r & -r
-                p = piv.get(low)
-                if p is None:
+                    hist += 1 << (rank1 if rv >> v & 1 else grow)
+            return hist
+        if v >= lo:
+            key = (tuple([x >> v for x in rows]), tuple([q >> v for q in pend]))
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+        rest = rows[1:]
+        hist = 0
+        if v >= k or prefix >> v & 1:  # include v
+            for i, rp in enumerate(pend):
+                if rp >> v & 1:
+                    a = rv ^ rp if rv >> v & 1 else rv
+                    below = [x ^ (a if rp >> j & 1 else 0) ^ (rp if x >> v & 1 else 0)
+                             for j, x in enumerate(rest, v + 1)]
+                    kept = pend[:i] + [q ^ rp if q >> v & 1 else q for q in pend[i + 1:]]
+                    hist = go(v + 1, below, kept) << rank2
                     break
-                r ^= p
-            if v == last:
-                hist[at if r else at - step] += 1
-            elif r:
-                piv[low] = r
-                go(v + 1, cols, at)
-                del piv[low]
             else:
-                go(v + 1, cols, at - step)
+                if rv >> v & 1:
+                    below = [x ^ rv if x >> v & 1 else x for x in rest]
+                    hist = go(v + 1, below, pend) << rank1
+                else:
+                    r = rv
+                    for q in pend:
+                        r = min(r, r ^ q)  # clears q's leading bit from r
+                    if r >> v:
+                        kept = [min(q, q ^ r) for q in pend]
+                        kept.append(r)
+                        kept.sort()
+                    else:
+                        kept = pend
+                    hist = go(v + 1, rest, kept) << grow
+        if v >= k or not prefix >> v & 1:  # exclude v
+            hist += go(v + 1, rest, pend[1:] if pend and pend[0] >> v == 1 else pend)
+        if v >= lo:
+            memo[key] = hist
+        return hist
 
+    total = 0
     for prefix in range(start, stop):
-        go(0, (1 << n) - 1, 0)
-    return hist
+        total += go(0, list(adj), [])
+    return unpack_fields(total, w, w * w)
 
 
 def _profile_entries(profile: List[int], n: int) -> Iterator[Tuple[int, int, int]]:
@@ -271,7 +331,7 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
     _require_loopless(g)
     _require_subset_size(g.n)
     n = g.n
-    k = prefix_bits(n)
+    k = shard_bits(n)
     pairs = tuple((row, 1 << i) for i, row in enumerate(g.adj))
     counts = sum_histograms(choice_ranks, ((), pairs, k), 1 << k, n)
     return poly_from_shift_counts(counts)
@@ -337,9 +397,10 @@ def qn_isotropic(g: SimpleGraph) -> UniPoly:
 def q2_closed(g: SimpleGraph) -> BiPoly:
     """Sum of (x-1)**rank * (y-1)**nullity over all vertex subsets W,
     rank and nullity of the induced adjacency submatrix over GF(2).
-    Loops contribute diagonal ones.  Expands the rank profile whose
-    nullity marginal is qn_closed, pooled from n = 16 on like it (see
-    _closed_profile)."""
+    Loops contribute diagonal ones, which the walk behind the rank
+    profile eliminates as 1 x 1 pivots (see _rank_profile).  Expands the
+    rank profile whose nullity marginal is qn_closed, pooled from n = 16
+    on like it (see _closed_profile)."""
     _require_subset_size(g.n)
     return _bipoly_from_rank_counts(_closed_profile(g.adj, g.n), g.n)
 

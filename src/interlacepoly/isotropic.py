@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._workers import prefix_bits, sum_histograms
+from ._workers import shard_bits, sum_histograms
 from .gf2 import choice_ranks, rank, reduce_by_pivots
 from .graph import SimpleGraph
 from .poly import UniPoly, poly_from_shift_counts
@@ -279,7 +279,7 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     pairs = tuple(
         tuple(c << (2 * v) for c in (K_X, K_Y, K_Z) if c != comp.code(v))
         for v in range(n))
-    k = prefix_bits(n)
+    k = shard_bits(n)
     counts = sum_histograms(choice_ranks, (system.flattened_basis(), pairs, k),
                             1 << k, n)
     return poly_from_shift_counts(counts)

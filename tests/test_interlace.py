@@ -15,7 +15,7 @@ from interlacepoly.interlace import (QN_METHODS, SUBSET_SUM_CAP, q2_closed,
                                      qn_isotropic, qn_recursive)
 from interlacepoly.poly import BiPoly, UniPoly
 from interlacepoly.verify import (all_graphs_with_loops, all_simple_graphs,
-                                  random_simple_graph)
+                                  random_graph_with_loops, random_simple_graph)
 
 E = SimpleGraph
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
@@ -104,6 +104,16 @@ class TestClosedForm:
             n = rng.randrange(9)
             assert qn_closed(random_simple_graph(n, rng)).evaluate(2) == 2 ** n
 
+    @pytest.mark.parametrize("g", [
+        random_simple_graph(14, random.Random(6)),
+        SimpleGraph.from_edges(14, random.Random(7).sample(
+            [(u, v) for u in range(14) for v in range(u + 1, 14)], 18)),
+        SimpleGraph.from_edges(14, [(u, v) for u in range(7) for v in range(7, 14)]),
+    ], ids=["dense", "sparse", "K7,7"])
+    def test_memoized_walk_matches_the_reference(self, g):
+        # n = 14 memoizes levels 10 to 12 below a ten-level walk.
+        assert qn_closed(g) == qn_closed_reference(g)
+
     def test_worker_pool_matches_serial(self, pin_cpus):
         g = random_simple_graph(16, random.Random(3))
         pin_cpus(2)
@@ -139,6 +149,10 @@ class TestTwoVariable:
         for n in range(4):
             for g in all_graphs_with_loops(n):
                 assert q2_reduction(g) == q2_closed(g)
+
+    def test_memoized_walk_matches_the_reduction_with_loops(self):
+        g = random_graph_with_loops(14, random.Random(8))
+        assert q2_closed(g) == q2_reduction(g)
 
     def test_reduction_prefers_loopless_edges(self):
         # edge 12 is the least edge with loop-free endpoints; the looped

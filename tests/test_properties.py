@@ -10,6 +10,7 @@ the circle graph against the states."""
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -274,6 +275,27 @@ class TestRankProfile:
     @example(SimpleGraph(1, [1], loops_allowed=True))
     @example(SimpleGraph.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 2)]))
     def test_matches_per_subset_ranks(self, g):
+        assert _rank_profile(g.adj, g.n, 0, 0, 1) == brute_rank_profile(g)
+
+    @pytest.mark.parametrize("g", [
+        SimpleGraph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)]),
+        SimpleGraph.from_edges(8, [(u, v) for u in range(8) for v in range(u, 8)],
+                               loops_allowed=True),
+        SimpleGraph.from_edges(8, [(u, v) for u in range(3) for v in range(3, 8)]),
+        SimpleGraph.from_edges(8, [(u, v) for u in range(3) for v in range(3, 8)]
+                               + [(u, u) for u in range(3)], loops_allowed=True),
+        SimpleGraph.from_edges(8, [(v, v) for v in range(8)], loops_allowed=True),
+        SimpleGraph.from_edges(8, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2),
+                                   (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)],
+                               loops_allowed=True),
+        SimpleGraph.from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4)
+                                   if u < u ^ b]),
+    ], ids=["complete", "complete-looped", "complete-bipartite",
+            "complete-bipartite-looped-side", "edgeless-looped",
+            "looped-triangle-and-path", "cube"])
+    def test_structured_graphs(self, g):
+        # Each elimination case and the memoized last levels; in the cube
+        # some pivots also change another pending row.
         assert _rank_profile(g.adj, g.n, 0, 0, 1) == brute_rank_profile(g)
 
     @PROPERTY

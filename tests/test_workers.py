@@ -94,6 +94,14 @@ class TestProcessCap:
         assert inline_pool == [4, 4, 4, 4]
 
 
+class TestShardBits:
+    @pytest.mark.parametrize("n, cpus, k", [(N - 1, 4, 0), (N, 1, 0),
+                                            (N, 2, _workers.prefix_bits(N))])
+    def test_prefixes_only_where_the_sum_pools(self, pin_cpus, n, cpus, k):
+        pin_cpus(cpus)
+        assert _workers.shard_bits(n) == k
+
+
 class TestAffinity:
     """The affinity mask is read for real here; the tests above pin
     available_parallelism instead."""
