@@ -1,0 +1,69 @@
+"""Every resource bound of the package, each set by what a route costs.
+
+Rule 1, the enumeration bound: a walk over all 2**n cases with no memo
+to cut it short (closed, avdh, isotropic, tm and the references) runs
+for n <= ENUMERATION_MAX_N, checked before anything of size n is built.
+
+Rule 2, the memo budget: the memo of one call of recursive, bouchet,
+reduction (and so martin) or cpp holds at most MEMO_BUDGET_BYTES, read
+at call time, per process under the pool.  A store is charged an upper
+bound on the bytes it adds, in O(1); a hit costs nothing.  A node that
+misses stores once and makes at most three child calls besides its
+components, so the budget bounds time too.  The closed walk's memo is
+bounded by proof (interlace._rank_profile) and not charged.
+
+MAX_INPUT_VERTICES bounds the O(n**2) validation of a graph and the
+rows a parse allocates; a vertex set is a Python int of any width.
+"""
+
+from __future__ import annotations
+
+ENUMERATION_MAX_N = 24
+MEMO_BUDGET_BYTES = 512 << 20
+MAX_INPUT_VERTICES = 2048
+
+# An int takes a 28-byte header and 4 bytes per 30-bit digit, in 16-byte
+# blocks, but one below 2**8 is shared; a tuple 48 bytes and 8 per slot;
+# a dict entry, with the table's spare room and the old table it is
+# copied from while it grows, about 96.  Calibrated against peak RSS
+# (see README.md).
+ENTRY_BYTES = 176  # the dict entry, the key tuple's header, the value's
+
+
+def check_vertex_count(n: int, what: str = "vertex count") -> None:
+    if n < 0 or n > MAX_INPUT_VERTICES:
+        raise ValueError(f"{what} must be in 0..{MAX_INPUT_VERTICES}, got {n}")
+
+
+def check_enumeration(n: int) -> None:
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(f"the enumeration bound of a walk over all 2**n "
+                         f"cases is n <= {ENUMERATION_MAX_N}, got n = {n}")
+
+
+def store_bytes(key_len: int, key_bits: int, value_bits: int) -> int:
+    """Rule 2's charge for an int of value_bits bits stored under a tuple
+    of key_len ints of at most key_bits bits each."""
+    key_int = 0 if key_bits <= 8 else 40 + key_bits // 7
+    return ENTRY_BYTES + key_len * (8 + key_int) + value_bits // 7
+
+
+def budget_spent() -> ValueError:
+    return ValueError(f"the memo budget of {MEMO_BUDGET_BYTES} bytes per process is spent")
+
+
+class Memo(dict):
+    """A recursion's memo on adjacency rows, charged against rule 2."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.left = MEMO_BUDGET_BYTES
+
+    def store(self, rows: tuple, value: int) -> None:
+        # The rows of a graph on len(rows) vertices have that many bits.
+        self.left -= store_bytes(len(rows), len(rows), value.bit_length())
+        if self.left < 0:
+            raise budget_spent()
+        self[rows] = value

@@ -18,19 +18,6 @@ def prefix_bits(n: int) -> int:
     return min(n, 5)
 
 
-def shard_bits(n: int) -> int:
-    """The prefix width k a route passes its kernel, which sum_histograms
-    then splits as 2**k work units: prefix_bits(n) where the sum goes to
-    a pool, and 0 where it runs in this process, so that the walk is one
-    tree instead of 2**prefix_bits(n) walks that each repeat its first
-    levels."""
-    return 0 if _in_place(n, available_parallelism()) else prefix_bits(n)
-
-
-def _in_place(n: int, procs: int) -> bool:
-    return procs <= 1 or n < PARALLEL_THRESHOLD
-
-
 def available_parallelism() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else the CPU count."""
@@ -41,19 +28,20 @@ def available_parallelism() -> int:
 
 
 def sum_histograms(kernel: Callable[..., List[int]], args: Sequence,
-                   units: int, n: int) -> List[int]:
-    """Elementwise sum of kernel(*args, start, stop) over ranges that
-    split the work units [0, units), for a problem of size n.
-
-    In this process below PARALLEL_THRESHOLD or with one CPU available;
-    else about four ranges per CPU, since unit costs vary along the
-    range.  The pool starts all its processes at the first submit, so it
-    starts min(available parallelism, ranges) of them."""
+                   n: int) -> List[int]:
+    """Elementwise sum of kernel(*args, k, start, stop), which walks the
+    prefixes in [start, stop) of the first k of n decisions: in this
+    process below PARALLEL_THRESHOLD or with one CPU, as one walk (k = 0);
+    else k = prefix_bits(n), in about four ranges per CPU, since unit
+    costs vary along the range.  The pool starts all its processes at
+    the first submit, so min(available parallelism, ranges) of them."""
     procs = available_parallelism()
-    if _in_place(n, procs):
-        return kernel(*args, 0, units)
+    if procs <= 1 or n < PARALLEL_THRESHOLD:
+        return kernel(*args, 0, 0, 1)
+    k = prefix_bits(n)
+    units = 1 << k
     step = max(1, units // (procs * 4))
     ranges = [(start, min(start + step, units)) for start in range(0, units, step)]
     with ProcessPoolExecutor(min(procs, len(ranges))) as pool:
-        jobs = [pool.submit(kernel, *args, start, stop) for start, stop in ranges]
+        jobs = [pool.submit(kernel, *args, k, start, stop) for start, stop in ranges]
         return [sum(col) for col in zip(*(job.result() for job in jobs))]

@@ -2,8 +2,9 @@
 
 Inputs are file paths, "-" for the standard input stream, or (when the
 argument is not an existing file and contains whitespace) the literal
-text itself.  Exit codes: 0 success, 1 input error, worker crash,
-interrupt, exhausted memory or recursion depth, 2 verification failure.
+text itself.  Exit codes: 0 success, 1 input error, a route past its
+bound (see _limits), worker crash, interrupt, exhausted memory or
+recursion depth, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ def _cmd_tm(args) -> int:
     g = parse_graph(_read_input(args.input))
     a = KVector.parse(args.A) if args.A is not None else KVector.constant(g.n, K_X)
     b = KVector.parse(args.B) if args.B is not None else KVector.constant(g.n, K_Y)
-    system = isotropic.graphic_system(g, a, b)
-    _emit_poly(isotropic.tutte_martin_restricted(system, a + b), args.output)
+    _emit_poly(isotropic.tutte_martin_presented(g, a, b), args.output)
     return 0
 
 

@@ -26,18 +26,11 @@ import random
 from operator import itemgetter
 from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import interlace
-from ._workers import shard_bits, sum_histograms
-from .graph import SimpleGraph, _check_vertex_count, _header_and_pairs
+from . import _limits, interlace
+from ._limits import budget_spent, check_enumeration, check_vertex_count, store_bytes
+from ._workers import sum_histograms
+from .graph import SimpleGraph, _header_and_pairs
 from .poly import UniPoly, unpack_fields
-
-# The state walk memoizes on its open ends, so its cost follows the
-# number of distinct open-end states, not the 2**n states; a
-# vertex-count bound until routes are capped by cost.
-EULERIAN_STATE_CAP = 24
-# The Martin polynomial recurses on a circle graph with one vertex per
-# digraph vertex; a vertex-count bound until routes are capped by cost.
-MARTIN_CAP = 24
 
 
 class EulerianDigraph:
@@ -47,7 +40,7 @@ class EulerianDigraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]]):
-        _check_vertex_count(n)
+        check_vertex_count(n)
         edges = tuple((int(t), int(h)) for t, h in edges)
         for t, h in edges:
             if not (0 <= t < n and 0 <= h < n):
@@ -156,7 +149,7 @@ def enumerate_states(d: EulerianDigraph) -> Iterator[Tuple[GraphState, int]]:
         ValueError: if the digraph is not valid.
     """
     _require_valid(d)
-    _require_state_size(d.n)
+    check_enumeration(d.n)
     heads, in_slot, outs = _transition_tables(d)
     m = len(d.edges)
     for mask in range(1 << d.n):
@@ -206,7 +199,8 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     the prefixes of one range share the memo.  A histogram is packed
     into one int, count i in bits [i * w, (i + 1) * w) with w = n + 1
     bits, enough for 2**n states, so a shift and a sum are one big-int
-    operation each.
+    operation each.  A store at level v is charged the memo budget's
+    price (see _limits) of the level's key and 2 * (n - v) + 1 fields.
     """
     n = len(ins)
     tail = [0] * (2 * n)
@@ -216,20 +210,24 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
             tail[e] = v
         for e in ins[v]:
             head[e] = v
+    w = n + 1
     frontier = []
+    charge = []
     for v in range(n):
         ends = [e for e in range(2 * n) if tail[e] < v <= head[e]]
         frontier.append(itemgetter(*ends) if ends else lambda first: ())
+        charge.append(store_bytes(len(ends), (2 * n - 1).bit_length(), w * (2 * (n - v) + 1)))
     memo: List[Dict[object, int]] = [{} for _ in range(n)]
+    left = _limits.MEMO_BUDGET_BYTES
     first = list(range(2 * n))
     last = list(range(2 * n))
     final = n - 1
-    w = n + 1
     one = 1 << w  # one state with one cycle
     two = one << w  # one state with two cycles
 
     # The first k levels take only the choice the current prefix names.
     def go(v: int) -> int:
+        nonlocal left
         a0, a1 = ins[v]
         b = outs[v]
         if v == final:
@@ -268,6 +266,9 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
                 last[s0] = a0
                 first[t0] = b0
         if v >= k:
+            left -= charge[v]
+            if left < 0:
+                raise budget_spent()
             memo[v][key] = hist
         return hist
 
@@ -284,16 +285,12 @@ def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
     One depth-first walk over the states counts their cycles
     (_component_histogram), memoized on the strand starts of the edges
     open at each level; enumerate_states, which traces each state on its
-    own, is its reference.  From n = 16 on the walk is split by its first
-    prefix_bits(n) decisions across a process pool with one process per
-    available CPU, and each range of prefixes keeps its own memo."""
+    own, is its reference.  Under the pool (see _workers.sum_histograms)
+    each range of prefixes keeps its own memo."""
     if not d.edges:
         return UniPoly((1,))
     _require_valid(d)
-    _require_state_size(d.n)
-    k = shard_bits(d.n)
-    return UniPoly(sum_histograms(_component_histogram, (*_incidence(d), k),
-                                  1 << k, d.n))
+    return UniPoly(sum_histograms(_component_histogram, _incidence(d), d.n))
 
 
 def martin_poly(d: EulerianDigraph) -> UniPoly:
@@ -306,16 +303,12 @@ def martin_poly(d: EulerianDigraph) -> UniPoly:
     independent route to the same polynomial.
 
     Raises:
-        ValueError: if the digraph is invalid, has no edges, or has more
-            than MARTIN_CAP vertices.
+        ValueError: if the digraph is invalid or has no edges, or if the
+            recursion needs more than the memo budget (see _limits).
     """
     if not d.edges:
         raise ValueError("the Martin polynomial needs at least one edge")
-    h = digraph_circle_graph(d)
-    if d.n > MARTIN_CAP:
-        raise ValueError(
-            f"the Martin polynomial is capped at {MARTIN_CAP} vertices, got {d.n}")
-    return interlace.qn_recursive(h)
+    return interlace.qn_recursive(digraph_circle_graph(d))
 
 
 # -- Euler circuits and chord diagrams ---------------------------------------
@@ -511,9 +504,3 @@ def _require_valid(d: EulerianDigraph) -> None:
     err = d.validation_error()
     if err is not None:
         raise ValueError(err)
-
-
-def _require_state_size(n: int) -> None:
-    if n > EULERIAN_STATE_CAP:
-        raise ValueError(
-            f"state enumeration is capped at {EULERIAN_STATE_CAP} vertices, got {n}")

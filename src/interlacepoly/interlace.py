@@ -19,22 +19,13 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ._workers import shard_bits, sum_histograms
+from ._limits import Memo, check_enumeration
+from ._workers import sum_histograms
 from .gf2 import choice_ranks, rank
 from .graph import Rows, SimpleGraph, component_masks, restrict_rows
 from .poly import BiPoly, UniPoly, poly_from_shift_counts, unpack_fields
 
 QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
-
-# Subset-sum methods enumerate 2**n induced subgraphs.
-SUBSET_SUM_CAP = 24
-
-# Entries one call of a memoized recursion (recursive, bouchet,
-# reduction) may store.  Peak RSS per entry on sparse graphs: 0.7 kB for
-# the two-variable reduction at 22 vertices and 1.2 kB at 28, where a
-# capped call took 457 MB; 0.4 kB for qn at 32 to 38 vertices.  The
-# packed values, and so the entries, grow with n.
-RECURSION_MEMO_CAP = 400_000
 
 # The closed rank profile memoizes the levels with at most this many
 # undecided vertices, which bounds its memo whatever n (see _rank_profile).
@@ -78,7 +69,7 @@ def qn_recursive(g: SimpleGraph) -> UniPoly:
     is checked once, here; the graphs the moves derive from it are not
     checked again.  The recursion is memoized on adjacency rows, the
     components' as well as the nodes', in a memo that lives for this call
-    only and holds at most RECURSION_MEMO_CAP entries.
+    only and is held to the memo budget (see _limits).
 
     A node's polynomial is one int, coefficient k in bits [k*w, (k+1)*w)
     with w = n + 1 for the input's n.  qn(G; 2) = 2**m on m vertices and
@@ -87,10 +78,10 @@ def qn_recursive(g: SimpleGraph) -> UniPoly:
     product of components is *."""
     _require_loopless(g)
     w = g.n + 1
-    return UniPoly(unpack_fields(_qn_recursive_rec(g, w, {}), w, w))
+    return UniPoly(unpack_fields(_qn_recursive_rec(g, w, Memo()), w, w))
 
 
-def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
+def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
     adj = g.adj
     hit = memo.get(adj)
     if hit is not None:
@@ -116,8 +107,7 @@ def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
                   + _qn_recursive_rec(g._pivot_unchecked(0, v).delete_vertex(v), w, memo))
     else:
         packed = 1 << w * len(adj)
-    _check_memo_size(memo)
-    memo[adj] = packed
+    memo.store(adj, packed)
     return packed
 
 
@@ -125,14 +115,6 @@ def _edged_components(adj: Rows, masks: List[int]) -> List[int]:
     """The component masks that are not a lone loopless vertex.  A
     component's highest vertex has a zero row iff it is such a vertex."""
     return [m for m in masks if adj[m.bit_length() - 1]]
-
-
-def _check_memo_size(memo: dict) -> None:
-    """Called before a recursion stores a memo entry."""
-    if len(memo) >= RECURSION_MEMO_CAP:
-        raise ValueError(
-            f"the recursion memo is capped at {RECURSION_MEMO_CAP} graphs; "
-            "this graph needs more")
 
 
 # -- closed subset sum --------------------------------------------------
@@ -145,7 +127,6 @@ def qn_closed(g: SimpleGraph) -> UniPoly:
     computes, memoized over its last levels (see _rank_profile), pooled
     from n = 16 on (see _closed_profile)."""
     _require_loopless(g)
-    _require_subset_size(g.n)
     n = g.n
     profile = _closed_profile(g.adj, n)
     counts = [0] * (n + 1)
@@ -160,7 +141,7 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
     routes'.  Slow; kept as the reference the fast path is tested
     against."""
     _require_loopless(g)
-    _require_subset_size(g.n)
+    check_enumeration(g.n)
     counts = [0] * (g.n + 1)
     for mask in range(1 << g.n):
         sub = g.induced_subgraph(v for v in range(g.n) if (mask >> v) & 1)
@@ -171,13 +152,10 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
 def _closed_profile(adj: Tuple[int, ...], n: int) -> List[int]:
     """The rank profile of all 2**n vertex subsets (see _rank_profile),
     which one depth-first walk over the subsets computes by symmetric
-    elimination, memoized over its last levels.  From n = 16 on, with
-    more than one CPU available, the walk is split by its first
-    prefix_bits(n) decisions across a process pool with one process per
-    CPU, and each range keeps a memo of its own; in this process it is
-    one walk over the whole tree."""
-    k = shard_bits(n)
-    return sum_histograms(_rank_profile, (adj, n, k), 1 << k, n)
+    elimination, memoized over its last levels; under the pool (see
+    _workers.sum_histograms) each range keeps a memo of its own."""
+    check_enumeration(n)
+    return sum_histograms(_rank_profile, (adj, n), n)
 
 
 def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
@@ -324,16 +302,13 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
     adjacency column or the i-th identity column.
 
     gf2.choice_ranks walks the choices, keeping the columns still to be
-    chosen reduced modulo those taken, and histograms them by corank.
-    From n = 16 on the walk's prefixes are split across a process pool
-    with one process per available CPU.
+    chosen reduced modulo those taken, and histograms them by corank,
+    pooled by _workers.sum_histograms.
     """
     _require_loopless(g)
-    _require_subset_size(g.n)
-    n = g.n
-    k = shard_bits(n)
+    check_enumeration(g.n)
     pairs = tuple((row, 1 << i) for i, row in enumerate(g.adj))
-    counts = sum_histograms(choice_ranks, ((), pairs, k), 1 << k, n)
+    counts = sum_histograms(choice_ranks, ((), pairs), g.n)
     return poly_from_shift_counts(counts)
 
 
@@ -350,18 +325,18 @@ def qn_bouchet(g: SimpleGraph) -> UniPoly:
     components, which are reduced one at a time and multiplied; unlike
     qn_recursive the recursion does not split again below the top, since
     that made it slower.  It is memoized on adjacency rows in one memo
-    for this call, shared by the components and capped like
-    qn_recursive's.  Polynomials are packed ints with qn_recursive's
+    for this call, shared by the components and held to the memo budget
+    like qn_recursive's.  Polynomials are packed ints with qn_recursive's
     field width w = n + 1, so the product over the components is an int
     product."""
     _require_loopless(g)
     w = g.n + 1
-    memo: Dict[Rows, int] = {}
+    memo = Memo()
     packed = prod(_qn_bouchet_rec(c, w, memo) for c in g.components())
     return UniPoly(unpack_fields(packed, w, w))
 
 
-def _qn_bouchet_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
+def _qn_bouchet_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
     adj = g.adj
     if not adj:
         return 1
@@ -376,8 +351,7 @@ def _qn_bouchet_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
         flipped = g.local_complement(0).local_complement(v).local_complement(0)
         packed = (_qn_bouchet_rec(g.delete_vertex(0), w, memo)
                   + _qn_bouchet_rec(flipped.delete_vertex(0), w, memo))
-    _check_memo_size(memo)
-    memo[adj] = packed
+    memo.store(adj, packed)
     return packed
 
 
@@ -401,7 +375,6 @@ def q2_closed(g: SimpleGraph) -> BiPoly:
     profile eliminates as 1 x 1 pivots (see _rank_profile).  Expands the
     rank profile whose nullity marginal is qn_closed, pooled from n = 16
     on like it (see _closed_profile)."""
-    _require_subset_size(g.n)
     return _bipoly_from_rank_counts(_closed_profile(g.adj, g.n), g.n)
 
 
@@ -419,8 +392,8 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     each reduced on its own; an isolated loopless vertex is a factor y.
     The graphs the moves derive are not checked again, and the reduction
     is memoized on adjacency rows, the components' as well as the
-    nodes', in a memo that lives for this call only and holds at most
-    RECURSION_MEMO_CAP entries.
+    nodes', in a memo that lives for this call only and is held to the
+    memo budget (see _limits).
 
     A node carries its rank profile (see _rank_profile) as the polynomial
     in u = x-1 and v = y-1 it stands for, packed into one int: the count
@@ -433,11 +406,11 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     q2_closed's."""
     n = g.n
     w = n + 1
-    packed = _q2_reduction_rec(g, w, {})
+    packed = _q2_reduction_rec(g, w, Memo())
     return _bipoly_from_rank_counts(unpack_fields(packed, w, w * w), n)
 
 
-def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
+def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
     adj = g.adj
     hit = memo.get(adj)
     if hit is not None:
@@ -458,10 +431,11 @@ def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
         a, b = edge
         # a < b, so deleting b leaves a's index unchanged.
         minus_b = g._pivot_unchecked(a, b).delete_vertex(b)
-        packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
-                  + _q2_reduction_rec(minus_b, w, memo))
+        # C first, so that no partial sum waits while a child recurses.
         c = _q2_reduction_rec(minus_b.delete_vertex(a), w, memo)
-        packed += (c << 2 * w * (w + 1)) - c  # C*u**2 - C
+        packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
+                  + _q2_reduction_rec(minus_b, w, memo)
+                  + (c << 2 * w * (w + 1)) - c)  # C*u**2 - C
     else:
         looped = None
         for v, row in enumerate(adj):
@@ -475,8 +449,7 @@ def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Dict[Rows, int]) -> int:
                                            w, memo) << w * (w + 1)))  # + C*u
         else:
             packed = ((1 << w) + 1) ** len(adj)
-    _check_memo_size(memo)
-    memo[adj] = packed
+    memo.store(adj, packed)
     return packed
 
 
@@ -509,12 +482,6 @@ def qn_from_q2(g: SimpleGraph) -> UniPoly:
 def _require_loopless(g: SimpleGraph) -> None:
     if g.has_loops():
         raise ValueError("qn is defined for loopless graphs only")
-
-
-def _require_subset_size(n: int) -> None:
-    if n > SUBSET_SUM_CAP:
-        raise ValueError(
-            f"subset-sum methods are capped at {SUBSET_SUM_CAP} vertices, got {n}")
 
 
 def _bipoly_from_rank_counts(profile: List[int], n: int) -> BiPoly:

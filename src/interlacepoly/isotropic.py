@@ -17,16 +17,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._workers import shard_bits, sum_histograms
+from ._limits import check_enumeration, check_vertex_count
+from ._workers import sum_histograms
 from .gf2 import choice_ranks, rank, reduce_by_pivots
 from .graph import SimpleGraph
 from .poly import UniPoly, poly_from_shift_counts
 
 K_ZERO, K_X, K_Y, K_Z = 0, 1, 2, 3
 KLEIN_CHARS = "0xyz"
-
-# The F-enumeration of the Tutte-Martin sum visits 2**n vectors.
-ISOTROPIC_CAP = 20
 
 
 def klein_add(a: int, b: int) -> int:
@@ -53,8 +51,7 @@ class KVector:
     __slots__ = ("n", "row1", "row2")
 
     def __init__(self, n: int, row1: int = 0, row2: int = 0):
-        if n < 0 or n > 63:
-            raise ValueError(f"length must be in 0..63, got {n}")
+        check_vertex_count(n, "length")
         mask = (1 << n) - 1
         if row1 < 0 or row1 & ~mask or row2 < 0 or row2 & ~mask:
             raise ValueError(f"rows have bits outside 0..{n - 1}")
@@ -265,31 +262,30 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     still to be chosen reduced modulo the span so far, and histograms the
     rank they add: L and F-hat have dimension n each in a space of
     dimension 2n, so dim(L meet F-hat) = n - gain, the index of the
-    histogram.  From n = 16 on it runs in a process pool with one
-    process per available CPU.
+    histogram, pooled by _workers.sum_histograms.
     """
     if comp.n != system.n:
         raise ValueError("length mismatch")
     if not comp.is_complete():
         raise ValueError("the excluded vector must be nonzero everywhere")
     n = system.n
-    if n > ISOTROPIC_CAP:
-        raise ValueError(f"Tutte-Martin sums are capped at {ISOTROPIC_CAP} "
-                         f"positions, got {n}")
+    check_enumeration(n)
     pairs = tuple(
         tuple(c << (2 * v) for c in (K_X, K_Y, K_Z) if c != comp.code(v))
         for v in range(n))
-    k = shard_bits(n)
-    counts = sum_histograms(choice_ranks, (system.flattened_basis(), pairs, k),
-                            1 << k, n)
+    counts = sum_histograms(choice_ranks, (system.flattened_basis(), pairs), n)
     return poly_from_shift_counts(counts)
+
+
+def tutte_martin_presented(g: SimpleGraph, a: KVector, b: KVector) -> UniPoly:
+    """tutte_martin_restricted of the graphic system presented by (g, a,
+    b), excluding a + b; rule 1 first, then the O(n**2) basis check."""
+    check_enumeration(g.n)
+    return tutte_martin_restricted(graphic_system(g, a, b), a + b)
 
 
 def tutte_martin_canonical(g: SimpleGraph) -> UniPoly:
     """The restricted Tutte-Martin polynomial of the graphic system of g
     under the all-x / all-y presentation, excluding their sum all-z.
     Equals qn(g) and is the isotropic qn method."""
-    a = KVector.constant(g.n, K_X)
-    b = KVector.constant(g.n, K_Y)
-    system = graphic_system(g, a, b)
-    return tutte_martin_restricted(system, a + b)
+    return tutte_martin_presented(g, KVector.constant(g.n, K_X), KVector.constant(g.n, K_Y))

@@ -3,13 +3,15 @@ input channels, and the exit-code contract."""
 
 import io
 import json
+import random
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from math import comb
 
 import pytest
 
-from interlacepoly import cli, eulerian, interlace, verify
+from interlacepoly import _limits, cli, eulerian, interlace, isotropic, verify
 
 P3_TEXT = "3 2\n0 1\n1 2\n"
 TWO_LOOP_TEXT = "1 2\n0 0\n0 0\n"
@@ -67,10 +69,6 @@ class TestQn:
     def test_loopy_graph_is_an_input_error(self, capsys):
         err = run_err(capsys, ["qn", "1 1 0 0"])
         assert "loopless" in err
-
-    def test_cap_exceeded_is_an_input_error(self, capsys):
-        err = run_err(capsys, ["qn", "25 0"])
-        assert "capped" in err
 
 
 class TestQ2:
@@ -138,11 +136,6 @@ class TestDigraphCommands:
     def test_disconnected_digraph_is_an_input_error(self, capsys, command):
         err = run_err(capsys, [command, "2 4  0 0  0 0  1 1  1 1"])
         assert err == "error: digraph is not connected\n"
-
-    def test_martin_cap_is_an_input_error(self, capsys):
-        d = eulerian.random_eulerian_digraph(eulerian.MARTIN_CAP + 1, 0)
-        err = run_err(capsys, ["martin", d.to_text()])
-        assert err.count("\n") == 1 and "capped" in err
 
     def test_circle_from_digraph(self, capsys):
         out = run_ok(capsys, ["circle", "2 4 0 1 0 1 1 0 1 0"])
@@ -235,18 +228,67 @@ class TestParserContract:
         err = run_err(capsys, ["martin", TWO_LOOP_TEXT])
         assert err.count("\n") == 1 and message in err
 
-    @pytest.mark.parametrize("argv", [
-        ["qn", "--method", "recursive"], ["qn", "--method", "bouchet"],
-        ["q2", "--method", "reduction"]], ids=["recursive", "bouchet", "reduction"])
-    def test_memo_cap_is_one_error_line(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(interlace, "RECURSION_MEMO_CAP", 3)
-        c6 = "6 6 0 1 1 2 2 3 3 4 4 5 0 5"
-        err = run_err(capsys, [argv[0], c6] + argv[1:])
-        assert err.count("\n") == 1 and "capped" in err
-
     def test_console_script_round_trip(self):
         proc = subprocess.run(
             [sys.executable, "-m", "interlacepoly", "qn", "-"],
             input="3 2\n0 1\n1 2\n", capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "x^2 + 2*x\n"
+
+
+class TestResourceRules:
+    """Every route past its resource bound (see _limits) exits 1 with one
+    error line that names the bound."""
+
+    ENUMERATED = [("qn", "closed"), ("qn", "avdh"), ("qn", "isotropic"),
+                  ("q2", "closed"), ("tm", None)]
+    MEMOIZED = [("qn", "recursive"), ("qn", "bouchet"), ("q2", "reduction"),
+                ("cpp", None), ("martin", None)]
+    GRAPH = verify.random_simple_graph(12, random.Random(1)).to_text()
+    DIGRAPH = eulerian.random_eulerian_digraph(16, 1).to_text()
+
+    @staticmethod
+    def argv(command, method, text):
+        return [command, text] + (["--method", method] if method else [])
+
+    @pytest.mark.parametrize("command, method", ENUMERATED,
+                             ids=["-".join(filter(None, r)) for r in ENUMERATED])
+    def test_enumeration_bound(self, capsys, command, method):
+        err = run_err(capsys, self.argv(command, method, "25 0"))
+        assert err.count("\n") == 1 and "enumeration bound" in err
+
+    @pytest.mark.parametrize("command, method", [("qn", "avdh"), ("qn", "isotropic"),
+                                                 ("tm", None)],
+                             ids=["qn-avdh", "qn-isotropic", "tm"])
+    def test_choice_walks_share_the_bound(self, capsys, monkeypatch, command, method):
+        # The walk is replaced by the histogram it gives on the edgeless
+        # graph, so that n = 24 is admitted without 2**24 steps.
+        def edgeless(kernel, args, n):
+            return [comb(n, i) for i in range(n + 1)]
+        monkeypatch.setattr(interlace, "sum_histograms", edgeless)
+        monkeypatch.setattr(isotropic, "sum_histograms", edgeless)
+        assert run_ok(capsys, self.argv(command, method, "24 0")) == "x^24\n"
+        run_err(capsys, self.argv(command, method, "25 0"))
+
+    def test_tm_checks_the_bound_before_the_presentation(self, capsys):
+        err = run_err(capsys, ["tm", "25 0", "--A", "x"])
+        assert "enumeration bound" in err
+
+    @pytest.mark.parametrize("command, method", MEMOIZED,
+                             ids=["-".join(filter(None, r)) for r in MEMOIZED])
+    def test_memo_budget(self, capsys, monkeypatch, pin_cpus, command, method):
+        pin_cpus(1)
+        text = self.DIGRAPH if command in ("cpp", "martin") else self.GRAPH
+        assert cli.run(self.argv(command, method, text)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)
+        err = run_err(capsys, self.argv(command, method, text))
+        assert err.count("\n") == 1 and "memo budget" in err
+
+    def test_memo_budget_of_a_pool_worker(self, capsys, monkeypatch, pin_cpus):
+        # Each process of the pool has a budget of its own and raises in
+        # the worker; the error crosses the pool as one line.
+        pin_cpus(2)
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)
+        err = run_err(capsys, ["cpp", self.DIGRAPH])
+        assert err.count("\n") == 1 and "memo budget" in err

@@ -8,8 +8,7 @@ import pytest
 
 from interlacepoly import eulerian
 from interlacepoly._workers import prefix_bits
-from interlacepoly.eulerian import (EULERIAN_STATE_CAP, MARTIN_CAP, ChordDiagram,
-                                    EulerianDigraph, GraphState,
+from interlacepoly.eulerian import (ChordDiagram, EulerianDigraph, GraphState,
                                     _component_histogram, _incidence,
                                     chord_diagram_from_circuit, circle_graph,
                                     circuit_partition_poly,
@@ -132,17 +131,20 @@ class TestCircuitPartition:
             circuit_partition_poly(EulerianDigraph(2, [(0, 1), (1, 0)]))
 
     def test_state_cap(self):
-        d = random_eulerian_digraph(EULERIAN_STATE_CAP + 1, 0)
-        with pytest.raises(ValueError, match="capped"):
-            circuit_partition_poly(d)
+        # The per-state reference follows the enumeration bound; the
+        # memoized walk follows the memo budget instead.
+        d = random_eulerian_digraph(25, 0)
+        with pytest.raises(ValueError, match="enumeration bound"):
+            next(enumerate_states(d))
+        assert circuit_partition_poly(d).evaluate(1) == 2 ** 25
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_walk_reaches_the_cap(self, seed):
         # 2**24 states, so this passes only through the open-end memo.
-        d = random_eulerian_digraph(EULERIAN_STATE_CAP, seed)
+        d = random_eulerian_digraph(24, seed)
         f = circuit_partition_poly(d)
         assert f == UniPoly.variable() * martin_poly(d).substitute(1)
-        assert f.evaluate(1) == 2 ** EULERIAN_STATE_CAP
+        assert f.evaluate(1) == 2 ** 24
 
     def test_ranges_with_their_own_memos_sum_to_the_whole(self):
         # The pool's split on 2 CPUs: 8 ranges of 4 prefixes, each range
@@ -176,12 +178,6 @@ class TestMartin:
     def test_invalid_digraph_rejected(self):
         with pytest.raises(ValueError, match="in-degree"):
             martin_poly(EulerianDigraph(2, [(0, 1), (1, 0)]))
-
-    def test_cap(self):
-        d = random_eulerian_digraph(MARTIN_CAP + 1, 0)
-        with pytest.raises(ValueError, match="capped") as info:
-            martin_poly(d)
-        assert "state" not in str(info.value)
 
     def test_does_not_enumerate_states(self, monkeypatch):
         def fail(*args, **kwargs):

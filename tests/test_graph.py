@@ -6,9 +6,10 @@ import tracemalloc
 
 import pytest
 
+from interlacepoly._limits import MAX_INPUT_VERTICES
 from interlacepoly.eulerian import parse_digraph
 from interlacepoly.gf2 import rank
-from interlacepoly.graph import MAX_VERTICES, SimpleGraph, parse_graph
+from interlacepoly.graph import SimpleGraph, parse_graph
 
 
 def path(n):
@@ -27,9 +28,9 @@ class TestConstruction:
         assert SimpleGraph(4).edge_count() == 0
 
     def test_vertex_count_bounds(self):
-        SimpleGraph(MAX_VERTICES)
+        SimpleGraph(MAX_INPUT_VERTICES)
         with pytest.raises(ValueError, match="vertex count"):
-            SimpleGraph(MAX_VERTICES + 1)
+            SimpleGraph(MAX_INPUT_VERTICES + 1)
         with pytest.raises(ValueError, match="vertex count"):
             SimpleGraph(-1)
 

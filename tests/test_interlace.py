@@ -1,5 +1,6 @@
 """Interlace polynomial tests: golden values, agreement of the five
-independent routes, the two-variable forms, caps, and the process pool."""
+independent routes, the two-variable forms, the enumeration bound, the
+process pool, and closed forms past 63 vertices."""
 
 import copy
 import random
@@ -7,8 +8,8 @@ import random
 import pytest
 
 from interlacepoly import _workers, interlace
-from interlacepoly.graph import MAX_VERTICES, SimpleGraph, parse_graph
-from interlacepoly.interlace import (QN_METHODS, SUBSET_SUM_CAP, q2_closed,
+from interlacepoly.graph import SimpleGraph, parse_graph
+from interlacepoly.interlace import (QN_METHODS, q2_closed,
                                      q2_reduction, qn, qn_avdh,
                                      qn_bouchet, qn_closed,
                                      qn_closed_reference, qn_from_q2,
@@ -66,10 +67,10 @@ class TestDispatchAndValidation:
                 fn(g)
 
     def test_subset_sum_cap(self):
-        big = E(SUBSET_SUM_CAP + 1)
-        for fn in (qn_closed, qn_closed_reference, qn_avdh, q2_closed):
-            with pytest.raises(ValueError, match="capped"):
-                fn(big)
+        # The reference, which the command line does not reach, follows
+        # the enumeration bound like the closed route it checks.
+        with pytest.raises(ValueError, match="enumeration bound"):
+            qn_closed_reference(E(25))
 
     def test_repeated_calls_agree_and_leave_no_module_state(self):
         def containers():
@@ -178,9 +179,10 @@ class TestTwoVariable:
 
 class TestFieldWidth:
     """The recursions pack a polynomial into one int with (n+1)-bit
-    fields; at MAX_VERTICES a coefficient or count reaches 2**62."""
+    fields; at n = 63 the fields are 64 bits wide and a coefficient or
+    count reaches 2**62."""
 
-    N = MAX_VERTICES
+    N = 63
     K = SimpleGraph.from_edges(N, [(u, v) for u in range(N) for v in range(u)])
 
     def test_qn_of_the_complete_graph(self):
@@ -207,3 +209,63 @@ class TestParsedInputs:
         g = random_simple_graph(12, random.Random(21))
         assert qn_closed(g) == qn_avdh(g)
         assert qn_closed(g) == qn_recursive(g)
+
+
+def path(n):
+    return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle(n):
+    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return SimpleGraph.from_edges(rows * cols, edges)
+
+
+class TestPastSixtyThree:
+    """The recursions on graphs of 64 to 200 vertices, against closed
+    forms and against each other."""
+
+    @staticmethod
+    def path_qn(n):
+        """qn(P_n) = qn(P_(n-1)) + x * qn(P_(n-2)), qn(P_0) = 1 and
+        qn(P_1) = x.  Def 1 on the edge (0, 1) of the path 0-1-...-(n-1)
+        gives qn(P_n) = qn(P_n - 0) + qn(P_n^01 - 1).  The pivot toggles
+        the pairs across the classes N(0) - {1} = {}, N(1) - {0} = {2}
+        and N(0) & N(1) = {}, two of which are empty, so it toggles
+        nothing.  P_n - 0 is P_(n-1), and deleting 1 leaves 0 isolated
+        beside the path 2-...-(n-1), so qn(P_n^01 - 1) = x * qn(P_(n-2))."""
+        x = UniPoly.variable()
+        polys = [UniPoly((1,)), x]
+        for _ in range(n - 1):
+            polys.append(polys[-1] + x * polys[-2])
+        return polys[n]
+
+    def test_path_recurrence_on_small_paths(self):
+        for n in range(9):
+            assert qn_closed(path(n)) == self.path_qn(n)
+
+    @pytest.mark.parametrize("n", [64, 100, 200])
+    def test_paths(self, n):
+        want = self.path_qn(n)
+        assert qn_recursive(path(n)) == want
+        assert qn_bouchet(path(n)) == want
+
+    @pytest.mark.parametrize("g", [cycle(64), cycle(200), grid(50, 3), grid(25, 4)],
+                             ids=["C64", "C200", "grid50x3", "grid25x4"])
+    def test_recursions_agree(self, g):
+        got = qn_recursive(g)
+        assert got == qn_bouchet(g)
+        assert got.evaluate(2) == 2 ** g.n
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_complete_graph(self, n):
+        k = SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u)])
+        assert qn_recursive(k) == qn_bouchet(k) == UniPoly((0, 1 << n - 1))
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_q2_reduction_at_x_2(self, n):
+        assert q2_reduction(cycle(n)).eval_at(2) == qn_recursive(cycle(n)).with_var("y")

@@ -7,8 +7,9 @@ import random
 
 import pytest
 
+from interlacepoly._limits import MAX_INPUT_VERTICES
 from interlacepoly.graph import SimpleGraph
-from interlacepoly.isotropic import (ISOTROPIC_CAP, K_X, K_Y, K_Z, K_ZERO,
+from interlacepoly.isotropic import (K_X, K_Y, K_Z, K_ZERO,
                                      IsotropicSystem, KVector,
                                      dim_intersection, dim_via_rank_formula,
                                      f_hat_basis, graphic_system, klein_add,
@@ -95,8 +96,9 @@ class TestKVector:
         assert KVector.parse("xy") != KVector.parse("yx")
 
     def test_length_bounds(self):
+        KVector(MAX_INPUT_VERTICES)
         with pytest.raises(ValueError, match="length"):
-            KVector(64)
+            KVector(MAX_INPUT_VERTICES + 1)
         with pytest.raises(ValueError, match="bits outside"):
             KVector(1, row1=2)
 
@@ -315,12 +317,6 @@ class TestTutteMartin:
         pooled = tutte_martin_restricted(system, a + b)
         pin_cpus(1)
         assert tutte_martin_restricted(system, a + b) == pooled
-
-    def test_cap_enforced(self):
-        big = graphic_system(SimpleGraph(ISOTROPIC_CAP + 1))
-        comp = KVector.constant(ISOTROPIC_CAP + 1, K_Z)
-        with pytest.raises(ValueError, match="capped"):
-            tutte_martin_restricted(big, comp)
 
     def test_excluded_vector_must_be_complete(self):
         system = graphic_system(K2)

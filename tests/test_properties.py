@@ -146,6 +146,48 @@ class TestSplitAtEveryNode:
         assert qn_recursive(g) == qn_bouchet(g)
 
 
+@st.composite
+def forests(draw, min_n=64, max_n=150):
+    """A random forest, grown by hanging each vertex v from one of
+    0..v-1 or from none, then labeled in postorder: children before
+    their parent, and each subtree a run of labels.
+
+    In postorder both recursions take milliseconds at n = 150.  In the
+    order the forest was grown, parents below their children, a random
+    tree of 64 vertices takes seconds by recursive and passes the memo
+    budget by bouchet."""
+    n = draw(st.integers(min_n, max_n))
+    draws = draw(st.lists(st.integers(0, 1 << 16), min_size=n, max_size=n))
+    kids = [[] for _ in range(n + 1)]  # kids[n]: the roots
+    for v, r in enumerate(draws):
+        kids[r % (v + 1) if r % (v + 1) != v else n].append(v)
+    label = {}
+
+    def visit(v):
+        for c in kids[v]:
+            visit(c)
+        label[v] = len(label)
+
+    for root in kids[n]:
+        visit(root)
+    return SimpleGraph.from_edges(n, [(label[c], label[v])
+                                      for v in range(n) for c in kids[v]])
+
+
+class TestPastSixtyThree:
+    @settings(PROPERTY, max_examples=10)
+    @given(forests())
+    def test_recursions_agree_on_forests(self, g):
+        got = qn_recursive(g)
+        assert got == qn_bouchet(g)
+        assert got.evaluate(2) == 2 ** g.n
+
+    def test_recursions_agree_on_a_sparse_graph(self):
+        pairs = [(u, v) for u in range(100) for v in range(u + 1, 100)]
+        g = SimpleGraph.from_edges(100, random.Random(1).sample(pairs, 70))
+        assert qn_recursive(g) == qn_bouchet(g)
+
+
 # -- row-level moves against set-based versions ---------------------------
 
 

@@ -1,6 +1,6 @@
-"""The process-pool sharding helper: the range split, the processes a
-pool starts, the CPU affinity that sets their number, and a worker that
-dies."""
+"""The process-pool sharding helper: the prefix width it gives a
+kernel, the range split, the processes a pool starts, the CPU affinity
+that sets their number, and a worker that dies."""
 
 import os
 import random
@@ -19,14 +19,15 @@ from interlacepoly.poly import UniPoly
 from interlacepoly.verify import random_simple_graph
 
 N = _workers.PARALLEL_THRESHOLD
+UNITS = 1 << _workers.prefix_bits(N)  # the prefixes a pooled sum splits
 
 
-def unit_hits(units, start, stop):
-    """One count at each unit of [start, stop)."""
-    return [int(start <= u < stop) for u in range(units)]
+def unit_hits(k, start, stop):
+    """One count at each prefix of [start, stop), of the 2**k."""
+    return [int(start <= u < stop) for u in range(1 << k)]
 
 
-def exit_at_once(start, stop):
+def exit_at_once(k, start, stop):
     os._exit(1)
 
 
@@ -56,30 +57,30 @@ def inline_pool(monkeypatch):
 
 
 class TestRangeSplit:
-    @pytest.mark.parametrize("units", [1, 7, 1000, 1027])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 1027])
     @pytest.mark.parametrize("cpus", [2, 3, 5])
-    def test_every_unit_counted_once(self, monkeypatch, pin_cpus, units, cpus):
+    def test_every_unit_counted_once(self, monkeypatch, pin_cpus, n, cpus):
         monkeypatch.setattr(_workers, "ProcessPoolExecutor", ThreadPoolExecutor)
         pin_cpus(cpus)
-        got = _workers.sum_histograms(unit_hits, (units,), units, N)
-        assert got == unit_hits(units, 0, units) == [1] * units
+        units = UNITS if n >= N else 1
+        assert _workers.sum_histograms(unit_hits, (), n) == [1] * units
 
 
 class TestProcessCap:
     def test_capped_at_available_parallelism(self, pin_cpus, inline_pool):
         pin_cpus(3)
-        assert _workers.sum_histograms(unit_hits, (1000,), 1000, N) == [1] * 1000
+        assert _workers.sum_histograms(unit_hits, (), N) == [1] * UNITS
         assert inline_pool == [3]
 
     def test_capped_at_range_count(self, pin_cpus, inline_pool):
-        pin_cpus(8)
-        assert _workers.sum_histograms(unit_hits, (2,), 2, N) == [1, 1]
-        assert inline_pool == [2]
+        pin_cpus(2 * UNITS)
+        assert _workers.sum_histograms(unit_hits, (), N) == [1] * UNITS
+        assert inline_pool == [UNITS]
 
     @pytest.mark.parametrize("n, cpus", [(N - 1, 4), (N, 1)])
     def test_one_process_runs_in_place(self, pin_cpus, inline_pool, n, cpus):
         pin_cpus(cpus)
-        assert _workers.sum_histograms(unit_hits, (7,), 7, n) == [1] * 7
+        assert _workers.sum_histograms(unit_hits, (), n) == [1]
         assert inline_pool == []
 
     def test_routes_start_capped_pools(self, pin_cpus, inline_pool):
@@ -95,11 +96,22 @@ class TestProcessCap:
 
 
 class TestShardBits:
+    """In this process the kernel walks one tree, k = 0, instead of 2**k
+    walks that each repeat its first levels."""
+
     @pytest.mark.parametrize("n, cpus, k", [(N - 1, 4, 0), (N, 1, 0),
                                             (N, 2, _workers.prefix_bits(N))])
-    def test_prefixes_only_where_the_sum_pools(self, pin_cpus, n, cpus, k):
+    def test_prefixes_only_where_the_sum_pools(self, pin_cpus, inline_pool,
+                                               n, cpus, k):
         pin_cpus(cpus)
-        assert _workers.shard_bits(n) == k
+        widths = set()
+
+        def width(bits, start, stop):
+            widths.add(bits)
+            return [stop - start]
+
+        assert _workers.sum_histograms(width, (), n) == [1 << k]
+        assert widths == {k}
 
 
 class TestAffinity:
@@ -111,7 +123,8 @@ class TestAffinity:
     def test_pool_size_follows_the_affinity_mask(self, monkeypatch, inline_pool,
                                                  cpus, pools):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        assert _workers.sum_histograms(unit_hits, (1000,), 1000, N) == [1] * 1000
+        units = UNITS if pools else 1
+        assert _workers.sum_histograms(unit_hits, (), N) == [1] * units
         assert inline_pool == pools
 
     @pytest.mark.parametrize("count, pools", [(5, [5]), (None, [])],
@@ -120,11 +133,12 @@ class TestAffinity:
                                                 count, pools):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert _workers.sum_histograms(unit_hits, (1000,), 1000, N) == [1] * 1000
+        units = UNITS if pools else 1
+        assert _workers.sum_histograms(unit_hits, (), N) == [1] * units
         assert inline_pool == pools
 
 
 def test_dead_worker_raises_broken_process_pool(pin_cpus):
     pin_cpus(2)
     with pytest.raises(BrokenProcessPool):
-        _workers.sum_histograms(exit_at_once, (), 8, N)
+        _workers.sum_histograms(exit_at_once, (), N)
