@@ -137,6 +137,12 @@ class TestDigraphCommands:
         err = run_err(capsys, [command, "2 4  0 0  0 0  1 1  1 1"])
         assert err == "error: digraph is not connected\n"
 
+    def test_martin_cap_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)
+        d = eulerian.random_eulerian_digraph(16, 0)
+        err = run_err(capsys, ["martin", d.to_text()])
+        assert err.count("\n") == 1 and "memo budget" in err
+
     def test_circle_from_digraph(self, capsys):
         out = run_ok(capsys, ["circle", "2 4 0 1 0 1 1 0 1 0"])
         assert out == "2 1\n0 1\n"

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from interlacepoly import eulerian
+from interlacepoly import _limits, eulerian
 from interlacepoly._workers import prefix_bits
 from interlacepoly.eulerian import (ChordDiagram, EulerianDigraph, GraphState,
                                     _component_histogram, _incidence,
@@ -178,6 +178,15 @@ class TestMartin:
     def test_invalid_digraph_rejected(self):
         with pytest.raises(ValueError, match="in-degree"):
             martin_poly(EulerianDigraph(2, [(0, 1), (1, 0)]))
+
+    def test_cap(self, monkeypatch):
+        # martin is bounded by the memo budget of its recursion, not by
+        # a count of transition states.
+        d = random_eulerian_digraph(16, 0)
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)
+        with pytest.raises(ValueError, match="memo budget") as info:
+            martin_poly(d)
+        assert "state" not in str(info.value)
 
     def test_does_not_enumerate_states(self, monkeypatch):
         def fail(*args, **kwargs):
