@@ -1,16 +1,21 @@
 """Every resource bound of the package, each set by what a route costs.
 
-Rule 1, the enumeration bound: a walk over all 2**n cases with no memo
-to cut it short (closed, avdh, isotropic, tm and the references) runs
-for n <= ENUMERATION_MAX_N, checked before anything of size n is built.
+Rule 1, the enumeration bound: a walk over all 2**n cases that
+memoizes only its last levels, or nothing (closed, avdh, isotropic, tm
+and the references), runs for n <= ENUMERATION_MAX_N, checked before
+anything of size n is built: the levels above its memo still visit up
+to 2**(n - levels) nodes.
 
 Rule 2, the memo budget: the memo of one call of recursive, bouchet,
-reduction (and so martin) or cpp holds at most MEMO_BUDGET_BYTES, read
-at call time, per process under the pool.  A store is charged an upper
-bound on the bytes it adds, in O(1); a hit costs nothing.  A node that
-misses stores once and makes at most three child calls besides its
-components, so the budget bounds time too.  The closed walk's memo is
-bounded by proof (interlace._rank_profile) and not charged.
+reduction (and so martin), cpp, or of the choice walk behind avdh,
+isotropic and tm (gf2.choice_ranks) holds at most MEMO_BUDGET_BYTES,
+read at call time, per process under the pool.  A store is charged an
+upper bound on the bytes it adds, in O(1); a hit costs nothing.  In
+the recursions and cpp a node that misses stores once and makes at
+most three child calls besides its components, so the budget bounds
+time too; the choice walk's time is bounded by rule 1.  The closed
+walk's memo is bounded by proof (interlace._rank_profile) and not
+charged.
 
 MAX_INPUT_VERTICES bounds the O(n**2) validation of a graph and the
 rows a parse allocates; a vertex set is a Python int of any width.

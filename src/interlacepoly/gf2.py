@@ -7,12 +7,23 @@ against a pivot dictionary, serves `rank` and the isotropic-system
 basis check.  `choice_ranks`, the one walk over the ways of picking a
 row from each of n pairs, which the `avdh` and `tm` sums both run,
 needs no pivots: it keeps the rows still to be picked reduced modulo
-those taken, so a pick adds rank iff its row is nonzero.
+those taken, so a pick adds rank iff its row is nonzero.  Those rows
+alone decide the rest of the walk, so its last levels are memoized on
+them, each node's histogram packed into one int; the memo is charged
+to the memo budget (see _limits).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+from . import _limits
+from ._limits import budget_spent, store_bytes
+from .poly import unpack_fields
+
+# The choice walk memoizes the levels with at most this many pairs left
+# (see choice_ranks).
+MEMO_LEVELS = 6
 
 
 def rank(rows: Iterable[int]) -> int:
@@ -56,46 +67,93 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     nonzero, and taking it clears its lowest set bit from the rows below;
     the base rows are taken first and the prefix's picks next, by the
     same step, and the last two levels are counted in place.
+
+    A node returns the histogram of the picks lost below it, the ones
+    the span already holds, relative to those lost above it, packed into
+    one int: count i in bits [i * w, (i + 1) * w) with w = n + 1, enough
+    for the 2**n picks; a lost pick shifts its child's histogram by w,
+    and the walk's total is unpacked once (poly.unpack_fields).  The
+    subtree below a node is a function of its rows alone, so tuple(rows)
+    is an exact key, and the levels with 3 to MEMO_LEVELS pairs left are
+    memoized on it.  Below the first k levels a subtree does not depend
+    on the prefix, so the prefixes of one range share the memo.
+
+    How many keys a level holds depends on the rows.  A reduced row is
+    the one member of its coset modulo the span taken that is zero in
+    the span's pivot columns, the lowest bits its members reach.  For
+    tm the rows of the positions >= v sit in bits >= 2v, and so do
+    their reduced forms, so with u = n - v pairs left a key is a
+    function of the subspace of the span that lives in those 2u bits,
+    whatever n.  On random graphs of density 1/2 the levels with u = 3
+    and 4 hold 30 and 270 keys at n = 20 and at n = 24; at u = 5 and 6
+    that bound is past the levels' 2**(n - u) nodes, and their keys grow
+    from 12,371 to 70,996.  For avdh the adjacency rows keep their bits
+    below v, and the keys grow with n: 27,448 at u <= 4 for n = 20 and
+    198,377 for n = 24, where all four levels hold 562,670.  So every
+    store is charged to the memo budget (see _limits) at a price fixed
+    per level: its key of 2u rows as wide as the widest row, and u + 1
+    fields of value.
     """
     n = len(pairs)
-    hist = [0] * (n + 1)
+    w = n + 1
     top = list(base) + [row for pair in pairs for row in pair]
     for _ in base:
         top = _take(top[0], top[1:])
+    # The histogram of one pick with 0, 1 or 2 picks lost.
+    lost = (1, 1 << w, 1 << 2 * w)
+    memo_rows = 2 * MEMO_LEVELS
+    width = max(top, default=0).bit_length()
+    charge = [store_bytes(m, width, w * (m // 2 + 1)) for m in range(memo_rows + 1)]
+    memo: Dict[Tuple[int, ...], int] = {}
+    left = _limits.MEMO_BUDGET_BYTES
 
-    # lost counts the picks so far that the span already held.
-    def count(rows: List[int], lost: int) -> None:
-        if len(rows) > 4:
+    def count(rows: List[int]) -> int:
+        nonlocal left
+        m = len(rows)
+        if m > 4:
+            if m <= memo_rows:
+                key = tuple(rows)
+                hist = memo.get(key)
+                if hist is not None:
+                    return hist
             rest = rows[2:]
+            hist = 0
             for r in (rows[0], rows[1]):
                 if r:
-                    count(_take(r, rest), lost)
+                    # _take, inlined: a call per node costs avdh about 20%.
+                    low = r & -r
+                    hist += count([x ^ r if x & low else x for x in rest])
                 else:
-                    count(rest, lost + 1)
-        elif len(rows) == 4:
+                    hist += count(rest) << w
+            if m <= memo_rows:
+                left -= charge[m]
+                if left < 0:
+                    raise budget_spent()
+                memo[key] = hist
+            return hist
+        if m == 4:
             a, b = rows[2], rows[3]
+            hist = 0
             for r in (rows[0], rows[1]):
                 # Below a nonzero r, a reduces to zero iff a is 0 or r.
                 if r:
-                    hist[lost + (a == 0 or a == r)] += 1
-                    hist[lost + (b == 0 or b == r)] += 1
+                    hist += lost[a == 0 or a == r] + lost[b == 0 or b == r]
                 else:
-                    hist[lost + 1 + (a == 0)] += 1
-                    hist[lost + 1 + (b == 0)] += 1
-        elif rows:
-            hist[lost + (rows[0] == 0)] += 1
-            hist[lost + (rows[1] == 0)] += 1
-        else:
-            hist[lost] += 1
+                    hist += lost[1 + (a == 0)] + lost[1 + (b == 0)]
+            return hist
+        if rows:
+            return lost[rows[0] == 0] + lost[rows[1] == 0]
+        return 1
 
+    total = 0
     for prefix in range(start, stop):
-        rows, lost = top, 0
+        rows, shift = top, 0
         for i in range(k):
             r = rows[(prefix >> i) & 1]
             rows = _take(r, rows[2:])
-            lost += r == 0
-        count(rows, lost)
-    return hist
+            shift += w if r == 0 else 0
+        total += count(rows) << shift
+    return unpack_fields(total, w, n + 1)
 
 
 def _take(row: int, rows: List[int]) -> List[int]:

@@ -302,8 +302,12 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
     adjacency column or the i-th identity column.
 
     gf2.choice_ranks walks the choices, keeping the columns still to be
-    chosen reduced modulo those taken, and histograms them by corank,
-    pooled by _workers.sum_histograms.
+    chosen reduced modulo those taken, memoized over its last levels,
+    and histograms them by corank, pooled by _workers.sum_histograms.
+
+    Raises:
+        ValueError: if n is past the enumeration bound, or if the walk's
+            memo needs more than the memo budget (see _limits).
     """
     _require_loopless(g)
     check_enumeration(g.n)

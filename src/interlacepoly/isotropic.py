@@ -259,10 +259,15 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     F-hat is spanned by one vector at each position, a choice between
     the two admitted Klein values (smaller code first).  gf2.choice_ranks
     takes the L-basis first, then walks the choices with the vectors
-    still to be chosen reduced modulo the span so far, and histograms the
-    rank they add: L and F-hat have dimension n each in a space of
-    dimension 2n, so dim(L meet F-hat) = n - gain, the index of the
-    histogram, pooled by _workers.sum_histograms.
+    still to be chosen reduced modulo the span so far, memoized over its
+    last levels, and histograms the rank they add: L and F-hat have
+    dimension n each in a space of dimension 2n, so dim(L meet F-hat) =
+    n - gain, the index of the histogram, pooled by
+    _workers.sum_histograms.
+
+    Raises:
+        ValueError: if n is past the enumeration bound, or if the walk's
+            memo needs more than the memo budget (see _limits).
     """
     if comp.n != system.n:
         raise ValueError("length mismatch")

@@ -250,6 +250,7 @@ class TestResourceRules:
                   ("q2", "closed"), ("tm", None)]
     MEMOIZED = [("qn", "recursive"), ("qn", "bouchet"), ("q2", "reduction"),
                 ("cpp", None), ("martin", None)]
+    CHOICE_WALKS = [("qn", "avdh"), ("qn", "isotropic"), ("tm", None)]
     GRAPH = verify.random_simple_graph(12, random.Random(1)).to_text()
     DIGRAPH = eulerian.random_eulerian_digraph(16, 1).to_text()
 
@@ -263,9 +264,8 @@ class TestResourceRules:
         err = run_err(capsys, self.argv(command, method, "25 0"))
         assert err.count("\n") == 1 and "enumeration bound" in err
 
-    @pytest.mark.parametrize("command, method", [("qn", "avdh"), ("qn", "isotropic"),
-                                                 ("tm", None)],
-                             ids=["qn-avdh", "qn-isotropic", "tm"])
+    @pytest.mark.parametrize("command, method", CHOICE_WALKS,
+                             ids=["-".join(filter(None, r)) for r in CHOICE_WALKS])
     def test_choice_walks_share_the_bound(self, capsys, monkeypatch, command, method):
         # The walk is replaced by the histogram it gives on the edgeless
         # graph, so that n = 24 is admitted without 2**24 steps.
@@ -285,6 +285,19 @@ class TestResourceRules:
     def test_memo_budget(self, capsys, monkeypatch, pin_cpus, command, method):
         pin_cpus(1)
         text = self.DIGRAPH if command in ("cpp", "martin") else self.GRAPH
+        assert cli.run(self.argv(command, method, text)) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)
+        err = run_err(capsys, self.argv(command, method, text))
+        assert err.count("\n") == 1 and "memo budget" in err
+
+    @pytest.mark.parametrize("command, method", CHOICE_WALKS,
+                             ids=["-".join(filter(None, r)) for r in CHOICE_WALKS])
+    def test_choice_walk_memo_budget(self, capsys, monkeypatch, command, method):
+        # The choice walk memoizes its last levels and charges them to
+        # the memo budget, which a dense 14-vertex graph passes at the
+        # default and spends at 1000 bytes.
+        text = verify.random_simple_graph(14, random.Random(1)).to_text()
         assert cli.run(self.argv(command, method, text)) == 0
         capsys.readouterr()
         monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)

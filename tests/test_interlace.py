@@ -7,13 +7,14 @@ import random
 
 import pytest
 
-from interlacepoly import _workers, interlace
+from interlacepoly import _limits, _workers, interlace
 from interlacepoly.graph import SimpleGraph, parse_graph
 from interlacepoly.interlace import (QN_METHODS, q2_closed,
                                      q2_reduction, qn, qn_avdh,
                                      qn_bouchet, qn_closed,
                                      qn_closed_reference, qn_from_q2,
                                      qn_isotropic, qn_recursive)
+from interlacepoly.isotropic import tutte_martin_canonical
 from interlacepoly.poly import BiPoly, UniPoly
 from interlacepoly.verify import (all_graphs_with_loops, all_simple_graphs,
                                   random_graph_with_loops, random_simple_graph)
@@ -130,6 +131,36 @@ class TestColumnChoiceSum:
         pooled = qn_avdh(g)
         pin_cpus(1)
         assert qn_avdh(g) == pooled
+
+    def test_memo_budget(self, monkeypatch):
+        g = random_simple_graph(14, random.Random(1))
+        assert qn_avdh(g) == qn_closed(g)
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)
+        with pytest.raises(ValueError, match="memo budget"):
+            qn_avdh(g)
+
+
+DENSE_15 = random_simple_graph(15, random.Random(3))
+PERM_15 = random.Random(4).sample(range(15), 15)
+
+
+class TestMemoizedChoiceWalk:
+    """avdh and the canonical Tutte-Martin sum, whose walks memoize
+    their last levels, against the per-subset reference at n = 14-16."""
+
+    @pytest.mark.parametrize("g, reference", [
+        (DENSE_15, DENSE_15),
+        (SimpleGraph.from_edges(15, [(PERM_15[u], PERM_15[v])
+                                     for u, v in DENSE_15.edges()]), DENSE_15),
+        (SimpleGraph.from_edges(16, random.Random(5).sample(
+            [(u, v) for u in range(16) for v in range(u + 1, 16)], 20)), None),
+        (SimpleGraph.from_edges(14, [(u, v) for u in range(7) for v in range(7, 14)]),
+         None),
+    ], ids=["dense", "dense-relabelled", "sparse", "K7,7"])
+    def test_matches_the_reference(self, g, reference):
+        want = qn_closed_reference(reference or g)
+        assert qn_avdh(g) == want
+        assert tutte_martin_canonical(g) == want
 
 
 class TestTwoVariable:

@@ -7,14 +7,17 @@ import random
 
 import pytest
 
+from interlacepoly import _limits
 from interlacepoly._limits import MAX_INPUT_VERTICES
 from interlacepoly.graph import SimpleGraph
+from interlacepoly.interlace import qn_recursive
 from interlacepoly.isotropic import (K_X, K_Y, K_Z, K_ZERO,
                                      IsotropicSystem, KVector,
                                      dim_intersection, dim_via_rank_formula,
                                      f_hat_basis, graphic_system, klein_add,
                                      klein_form, kv_form, kv_in_f_hat,
                                      tutte_martin_canonical,
+                                     tutte_martin_presented,
                                      tutte_martin_restricted, vector_LP)
 from interlacepoly.poly import UniPoly
 from interlacepoly.verify import all_simple_graphs, random_simple_graph
@@ -317,6 +320,28 @@ class TestTutteMartin:
         pooled = tutte_martin_restricted(system, a + b)
         pin_cpus(1)
         assert tutte_martin_restricted(system, a + b) == pooled
+
+    @pytest.mark.parametrize("n, seed", [(14, 20), (16, 21)])
+    def test_presented_with_z_rows_matches_qn(self, n, seed):
+        # A random presentation excludes x or y at some positions, so
+        # the walk picks the z row there; its memoized levels see keys
+        # of all three Klein values.
+        rng = random.Random(seed)
+        g = random_simple_graph(n, rng)
+        a_codes = [rng.choice((K_X, K_Y, K_Z)) for _ in range(n)]
+        b_codes = [rng.choice([c for c in (K_X, K_Y, K_Z) if c != ac])
+                   for ac in a_codes]
+        assert any(ac ^ bc != K_Z for ac, bc in zip(a_codes, b_codes))
+        a, b = KVector.from_codes(a_codes), KVector.from_codes(b_codes)
+        assert tutte_martin_presented(g, a, b) == qn_recursive(g)
+
+    def test_memo_budget(self, monkeypatch):
+        system = graphic_system(random_simple_graph(14, random.Random(1)))
+        comp = KVector.constant(14, K_Z)
+        tutte_martin_restricted(system, comp)
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)
+        with pytest.raises(ValueError, match="memo budget"):
+            tutte_martin_restricted(system, comp)
 
     def test_excluded_vector_must_be_complete(self):
         system = graphic_system(K2)

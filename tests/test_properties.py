@@ -371,16 +371,19 @@ class TestClosedForm:
 
 
 @st.composite
-def choice_problems(draw, max_pairs=7, max_cols=9):
+def choice_problems(draw, min_pairs=0, max_pairs=10, max_cols=9):
     """Independent base rows and pairs of rows, all in max_cols columns;
-    rows may repeat, lie in the base's span or be zero."""
+    rows may repeat, lie in the base's span or be zero.  Up to 10 pairs
+    reach the memoized levels (3 to gf2.MEMO_LEVELS pairs left) from
+    levels above them."""
     cols = draw(st.integers(0, max_cols))
     row = st.integers(0, (1 << cols) - 1)
     base = []
     for r in draw(st.lists(row, max_size=cols)):
         if rank(base + [r]) > len(base):
             base.append(r)
-    pairs = draw(st.lists(st.tuples(row, row), max_size=max_pairs))
+    pairs = draw(st.lists(st.tuples(row, row), min_size=min_pairs,
+                          max_size=max_pairs))
     return tuple(base), tuple(pairs)
 
 
@@ -397,7 +400,9 @@ def brute_choice_ranks(base, pairs):
 def choices_and_shards(draw):
     """A choice problem, a prefix width k and cut points that split the
     2**k prefixes into ranges."""
-    base, pairs = draw(choice_problems())
+    # Half the problems have at least 8 pairs, so that below the prefix
+    # a range's prefixes share memoized levels.
+    base, pairs = draw(st.one_of(choice_problems(), choice_problems(min_pairs=8)))
     k = draw(st.integers(0, prefix_bits(len(pairs))))
     cuts = draw(st.lists(st.integers(0, 1 << k), max_size=4))
     bounds = [0] + sorted(cuts) + [1 << k]
@@ -414,6 +419,19 @@ class TestChoiceWalk:
     @example(((), ((0, 0), (0b01, 0b10), (0, 0), (0b11, 0b01))))  # zero pairs
     @example(((), ((0b11, 0b01), (0b01, 0b10))))  # zero after the first pick
     @example(((), ((0b011, 0b100), (0b101, 0b001), (0b110, 0b111))))  # zero after two
+    # Both picks of the first pair leave the same rows, so the second
+    # subtree is a memo hit: a zero pair, a repeated row, a pair the base
+    # spans.
+    @example(((), ((0, 0), (0b011, 0b101), (0b110, 0b011), (0b101, 0b111),
+                   (0b001, 0b100))))
+    @example(((), ((0b1011, 0b1011), (0b0110, 0b1100), (0b0011, 0b1001),
+                   (0b1110, 0b0101), (0b1000, 0b0001))))
+    @example(((0b010, 0b100), ((0b110, 0b010), (0b011, 0b101), (0b001, 0b111),
+                               (0b100, 0b011), (0b111, 0b110))))
+    # Ten pairs in four columns: the span fills early, and every memoized
+    # level is hit with losses above it.
+    @example(((), tuple((1 << i % 4, 1 << (i + 1) % 4 | 1 << (i + 3) % 4)
+                        for i in range(10))))
     def test_matches_per_choice_ranks(self, problem):
         base, pairs = problem
         assert choice_ranks(base, pairs, 0, 0, 1) == brute_choice_ranks(base, pairs)
@@ -424,6 +442,8 @@ class TestChoiceWalk:
     @example(((), ((0, 0b1),), 1, [(0, 1), (1, 2)]))  # n = 1, k = 1
     @example(((0b110,), ((0b010, 0b100), (0b011, 0b001), (0b111, 0b101)), 2,
               [(0, 1), (1, 3), (3, 4)]))
+    @example(((), tuple((1 << i % 5, 1 << (i + 2) % 5) for i in range(10)), 3,
+              [(0, 5), (5, 8)]))  # ranges of several prefixes share a memo
     def test_prefix_ranges_sum_to_the_whole(self, bpkr):
         base, pairs, k, ranges = bpkr
         shards = [choice_ranks(base, pairs, k, a, b) for a, b in ranges]
