@@ -150,12 +150,19 @@ def _cmd_martin(args) -> int:
 
 def _cmd_circle(args) -> int:
     text = _read_input(args.input)
+    d = None
     try:
         d = eulerian.parse_digraph(text)
-    except ValueError:
-        h = eulerian.circle_graph(eulerian.parse_chord_word(text))
-    else:
         h = eulerian.digraph_circle_graph(d)
+    except ValueError as err:
+        # A chord word may also read as digraph text: "1 1 0 0".  A text
+        # that is neither keeps the digraph's error if it parsed as one.
+        try:
+            h = eulerian.circle_graph(eulerian.parse_chord_word(text))
+        except ValueError:
+            if d is None:
+                raise
+            raise err from None
     _emit_graph(h, args.output)
     return 0
 

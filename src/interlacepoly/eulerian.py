@@ -174,9 +174,9 @@ def _cycle_count(heads, in_slot, outs, m, mask) -> int:
 
 def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
                           outs: Tuple[Tuple[int, ...], ...], k: int,
-                          start: int, stop: int) -> List[int]:
+                          prefix: int) -> List[int]:
     """Histogram of cycle counts over the states whose choices at the
-    first k vertices, read as the bits of a prefix, lie in [start, stop).
+    first k vertices, read as bits, are `prefix`.
 
     A depth-first walk decides vertex 0, 1, ..., n-1 in turn; choice c at
     v links each in-edge ins[v][s] to the out-edge outs[v][s ^ c] that
@@ -194,13 +194,12 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     those starts, as in the frontier search of Sekine, Imai and Tani
     (ISAAC 1995).  A node returns the histogram of the cycles closed from
     its level on, at most 2 * (n - v): the sum of its children's
-    histograms, each shifted by the 0-2 cycles its own links close.
-    Below the first k levels a subtree does not depend on the prefix, so
-    the prefixes of one range share the memo.  A histogram is packed
-    into one int, count i in bits [i * w, (i + 1) * w) with w = n + 1
-    bits, enough for 2**n states, so a shift and a sum are one big-int
-    operation each.  A store at level v is charged the memo budget's
-    price (see _limits) of the level's key and 2 * (n - v) + 1 fields.
+    histograms, each shifted by the 0-2 cycles its own links close.  A
+    histogram is packed into one int, count i in bits [i * w, (i + 1) * w)
+    with w = n + 1 bits, enough for 2**n states, so a shift and a sum are
+    one big-int operation each.  A store at level v is charged the memo
+    budget's price (see _limits) of the level's key and 2 * (n - v) + 1
+    fields.
     """
     n = len(ins)
     tail = [0] * (2 * n)
@@ -225,7 +224,7 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     one = 1 << w  # one state with one cycle
     two = one << w  # one state with two cycles
 
-    # The first k levels take only the choice the current prefix names.
+    # The first k levels take only the choice the prefix names.
     def go(v: int) -> int:
         nonlocal left
         a0, a1 = ins[v]
@@ -272,10 +271,7 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
             memo[v][key] = hist
         return hist
 
-    total = 0
-    for prefix in range(start, stop):
-        total += go(0)
-    return unpack_fields(total, w, 2 * n + 1)
+    return unpack_fields(go(0), w, 2 * n + 1)
 
 
 def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
@@ -286,7 +282,8 @@ def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
     (_component_histogram), memoized on the strand starts of the edges
     open at each level; enumerate_states, which traces each state on its
     own, is its reference.  Under the pool (see _workers.sum_histograms)
-    each range of prefixes keeps its own memo."""
+    each process walks the states of one prefix with a memo of its
+    own."""
     if not d.edges:
         return UniPoly((1,))
     _require_valid(d)

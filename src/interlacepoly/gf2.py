@@ -54,11 +54,11 @@ def reduce_by_pivots(row: int, piv: Dict[int, int]) -> int:
 
 
 def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
-                 k: int, start: int, stop: int) -> List[int]:
+                 k: int, prefix: int) -> List[int]:
     """Histogram of the rank gained when one row picked from each pair
     joins the independent rows `base`, indexed by len(pairs) - gain.  It
-    counts the picks whose first k choices, read as the bits of a prefix
-    (bit i set: the second row of pair i), lie in [start, stop).
+    counts the picks whose first k choices, read as bits (bit i set: the
+    second row of pair i), are `prefix`.
 
     A depth-first walk picks from pair 0, 1, ... in turn and carries the
     rows still to be decided, [a_i, b_i, a_i+1, b_i+1, ...], reduced
@@ -75,8 +75,7 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     and the walk's total is unpacked once (poly.unpack_fields).  The
     subtree below a node is a function of its rows alone, so tuple(rows)
     is an exact key, and the levels with 3 to MEMO_LEVELS pairs left are
-    memoized on it.  Below the first k levels a subtree does not depend
-    on the prefix, so the prefixes of one range share the memo.
+    memoized on it.
 
     How many keys a level holds depends on the rows.  A reduced row is
     the one member of its coset modulo the span taken that is zero in
@@ -145,15 +144,12 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
             return lost[rows[0] == 0] + lost[rows[1] == 0]
         return 1
 
-    total = 0
-    for prefix in range(start, stop):
-        rows, shift = top, 0
-        for i in range(k):
-            r = rows[(prefix >> i) & 1]
-            rows = _take(r, rows[2:])
-            shift += w if r == 0 else 0
-        total += count(rows) << shift
-    return unpack_fields(total, w, n + 1)
+    shift = 0
+    for i in range(k):
+        r = top[(prefix >> i) & 1]
+        top = _take(r, top[2:])
+        shift += w if r == 0 else 0
+    return unpack_fields(count(top) << shift, w, n + 1)
 
 
 def _take(row: int, rows: List[int]) -> List[int]:

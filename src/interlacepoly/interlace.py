@@ -153,16 +153,17 @@ def _closed_profile(adj: Tuple[int, ...], n: int) -> List[int]:
     """The rank profile of all 2**n vertex subsets (see _rank_profile),
     which one depth-first walk over the subsets computes by symmetric
     elimination, memoized over its last levels; under the pool (see
-    _workers.sum_histograms) each range keeps a memo of its own."""
+    _workers.sum_histograms) each process walks the subtree of one
+    prefix with a memo of its own."""
     check_enumeration(n)
     return sum_histograms(_rank_profile, (adj, n), n)
 
 
 def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
-                  start: int, stop: int) -> List[int]:
+                  prefix: int) -> List[int]:
     """Histogram of (rank of A[W] over GF(2), |W|) over the vertex
-    subsets W whose first k vertices, read as the bits of a prefix, lie
-    in [start, stop); flat at rank*(n+1) + |W|.  Loops are diagonal ones.
+    subsets W whose first k vertices, read as bits, are `prefix`; flat
+    at rank*(n+1) + |W|.  Loops are diagonal ones.
 
     A depth-first walk decides vertex 0, 1, ..., n-1 in turn and carries
     a Schur complement of A instead of an echelon form.  At level v the
@@ -214,12 +215,10 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     undecided vertices there are at most 2**(u(u+1)/2) residuals, or
     2**(u(u-1)/2) on loopless inputs, whose residuals stay loopless,
     times 67 subspaces of GF(2)**4 or fewer: at most 4,426 keys on
-    loopless inputs and 69,672 on looped ones, whatever n.  Below the
-    first k levels a subtree does not depend on the prefix, so the
-    prefixes of one range share the memo.
+    loopless inputs and 69,672 on looped ones, whatever n.
     """
     if n == 0:
-        return [stop - start]
+        return [1]
     w = n + 1
     last = n - 1
     lo = max(k, n - MEMO_LEVELS)
@@ -230,7 +229,7 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     rank2 = w * (2 * w + 1)
     memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
 
-    # The first k levels take only the branch the current prefix names.
+    # The first k levels take only the branch the prefix names.
     def go(v: int, rows: List[int], pend: List[int]) -> int:
         rv = rows[0]
         if v == last:
@@ -279,10 +278,7 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
             memo[key] = hist
         return hist
 
-    total = 0
-    for prefix in range(start, stop):
-        total += go(0, list(adj), [])
-    return unpack_fields(total, w, w * w)
+    return unpack_fields(go(0, list(adj), []), w, w * w)
 
 
 def _profile_entries(profile: List[int], n: int) -> Iterator[Tuple[int, int, int]]:

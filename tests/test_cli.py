@@ -155,7 +155,21 @@ class TestDigraphCommands:
         assert json.loads(out) == {"n": 2, "edges": [[0, 1]]}
 
     def test_circle_bad_word(self, capsys):
-        run_err(capsys, ["circle", "0 1 0"])
+        err = run_err(capsys, ["circle", "0 1 0"])
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("word, out", [("1 1 0 0", "2 0\n"),
+                                           ("2 2 0 1 1 0", "3 0\n")])
+    def test_circle_word_that_reads_as_an_invalid_digraph(self, capsys, word, out):
+        # Both parse as digraph text, 'n m' then pairs, whose vertex 0
+        # has in- and out-degree 1; as chord words their chords do not
+        # cross.
+        assert run_ok(capsys, ["circle", word]) == out
+
+    def test_circle_keeps_the_digraph_error(self, capsys):
+        # Neither a 2-in-2-out digraph nor a chord word.
+        err = run_err(capsys, ["circle", "2 1 0 1"])
+        assert err.count("\n") == 1 and "in-degree" in err
 
 
 class TestGraphTransforms:
@@ -304,10 +318,17 @@ class TestResourceRules:
         err = run_err(capsys, self.argv(command, method, text))
         assert err.count("\n") == 1 and "memo budget" in err
 
-    def test_memo_budget_of_a_pool_worker(self, capsys, monkeypatch, pin_cpus):
+    POOLED = [("cpp", None), ("tm", None), ("qn", "avdh")]
+
+    @pytest.mark.parametrize("command, method", POOLED,
+                             ids=["-".join(filter(None, r)) for r in POOLED])
+    def test_memo_budget_of_a_pool_worker(self, capsys, monkeypatch, pin_cpus,
+                                          command, method):
         # Each process of the pool has a budget of its own and raises in
         # the worker; the error crosses the pool as one line.
         pin_cpus(2)
         monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 1000)
-        err = run_err(capsys, ["cpp", self.DIGRAPH])
+        text = (self.DIGRAPH if command == "cpp"
+                else verify.random_simple_graph(16, random.Random(1)).to_text())
+        err = run_err(capsys, self.argv(command, method, text))
         assert err.count("\n") == 1 and "memo budget" in err

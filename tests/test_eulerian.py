@@ -7,7 +7,6 @@ import random
 import pytest
 
 from interlacepoly import _limits, eulerian
-from interlacepoly._workers import prefix_bits
 from interlacepoly.eulerian import (ChordDiagram, EulerianDigraph, GraphState,
                                     _component_histogram, _incidence,
                                     chord_diagram_from_circuit, circle_graph,
@@ -147,16 +146,13 @@ class TestCircuitPartition:
         assert f.evaluate(1) == 2 ** 24
 
     def test_ranges_with_their_own_memos_sum_to_the_whole(self):
-        # The pool's split on 2 CPUs: 8 ranges of 4 prefixes, each range
-        # walked with a memo of its own.
+        # The pool's split on 2 CPUs: the two halves, each walked with a
+        # memo of its own.
         d = random_eulerian_digraph(20, 1)
         ins, outs = _incidence(d)
-        k = prefix_bits(d.n)
-        shards = [_component_histogram(ins, outs, k, a, a + 4)
-                  for a in range(0, 1 << k, 4)]
-        assert len(shards) == 8
-        assert ([sum(col) for col in zip(*shards)]
-                == _component_histogram(ins, outs, 0, 0, 1))
+        halves = [_component_histogram(ins, outs, 1, p) for p in (0, 1)]
+        assert ([sum(col) for col in zip(*halves)]
+                == _component_histogram(ins, outs, 0, 0))
 
     def test_worker_pool_matches_serial(self, pin_cpus):
         d = random_eulerian_digraph(16, 44)

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interlacepoly._workers import prefix_bits
 from interlacepoly.eulerian import (EulerianDigraph, _component_histogram,
                                     _incidence, circuit_partition_poly,
                                     digraph_circle_graph, enumerate_states,
@@ -301,13 +300,9 @@ def brute_rank_profile(g):
 
 @st.composite
 def graph_and_shards(draw):
-    """A graph with loops, a prefix width k and cut points that split the
-    2**k prefixes into ranges."""
+    """A graph with loops and a prefix width k."""
     g = draw(graphs(max_n=9, loops=True))
-    k = draw(st.integers(0, min(g.n, 5)))
-    cuts = draw(st.lists(st.integers(0, 1 << k), max_size=4))
-    bounds = [0] + sorted(cuts) + [1 << k]
-    return g, k, list(zip(bounds, bounds[1:]))
+    return g, draw(st.integers(0, min(g.n, 5)))
 
 
 class TestRankProfile:
@@ -317,7 +312,7 @@ class TestRankProfile:
     @example(SimpleGraph(1, [1], loops_allowed=True))
     @example(SimpleGraph.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 2)]))
     def test_matches_per_subset_ranks(self, g):
-        assert _rank_profile(g.adj, g.n, 0, 0, 1) == brute_rank_profile(g)
+        assert _rank_profile(g.adj, g.n, 0, 0) == brute_rank_profile(g)
 
     @pytest.mark.parametrize("g", [
         SimpleGraph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)]),
@@ -338,15 +333,16 @@ class TestRankProfile:
     def test_structured_graphs(self, g):
         # Each elimination case and the memoized last levels; in the cube
         # some pivots also change another pending row.
-        assert _rank_profile(g.adj, g.n, 0, 0, 1) == brute_rank_profile(g)
+        assert _rank_profile(g.adj, g.n, 0, 0) == brute_rank_profile(g)
 
     @PROPERTY
     @given(graph_and_shards())
-    def test_prefix_ranges_sum_to_the_whole(self, gks):
-        g, k, ranges = gks
-        shards = [_rank_profile(g.adj, g.n, k, a, b) for a, b in ranges]
+    def test_prefix_ranges_sum_to_the_whole(self, gk):
+        # Every prefix walked alone sums to the whole walk.
+        g, k = gk
+        shards = [_rank_profile(g.adj, g.n, k, p) for p in range(1 << k)]
         assert ([sum(col) for col in zip(*shards)]
-                == _rank_profile(g.adj, g.n, 0, 0, 1))
+                == _rank_profile(g.adj, g.n, 0, 0))
 
 
 class TestClosedForm:
@@ -398,15 +394,11 @@ def brute_choice_ranks(base, pairs):
 
 @st.composite
 def choices_and_shards(draw):
-    """A choice problem, a prefix width k and cut points that split the
-    2**k prefixes into ranges."""
+    """A choice problem and a prefix width k."""
     # Half the problems have at least 8 pairs, so that below the prefix
-    # a range's prefixes share memoized levels.
+    # the walk reaches its memoized levels.
     base, pairs = draw(st.one_of(choice_problems(), choice_problems(min_pairs=8)))
-    k = draw(st.integers(0, prefix_bits(len(pairs))))
-    cuts = draw(st.lists(st.integers(0, 1 << k), max_size=4))
-    bounds = [0] + sorted(cuts) + [1 << k]
-    return base, pairs, k, list(zip(bounds, bounds[1:]))
+    return base, pairs, draw(st.integers(0, min(len(pairs), 5)))
 
 
 class TestChoiceWalk:
@@ -434,21 +426,20 @@ class TestChoiceWalk:
                         for i in range(10))))
     def test_matches_per_choice_ranks(self, problem):
         base, pairs = problem
-        assert choice_ranks(base, pairs, 0, 0, 1) == brute_choice_ranks(base, pairs)
+        assert choice_ranks(base, pairs, 0, 0) == brute_choice_ranks(base, pairs)
 
     @PROPERTY
     @given(choices_and_shards())
-    @example(((0b1,), ((0b1, 0b10),), 1, [(0, 1), (1, 2)]))
-    @example(((), ((0, 0b1),), 1, [(0, 1), (1, 2)]))  # n = 1, k = 1
-    @example(((0b110,), ((0b010, 0b100), (0b011, 0b001), (0b111, 0b101)), 2,
-              [(0, 1), (1, 3), (3, 4)]))
-    @example(((), tuple((1 << i % 5, 1 << (i + 2) % 5) for i in range(10)), 3,
-              [(0, 5), (5, 8)]))  # ranges of several prefixes share a memo
-    def test_prefix_ranges_sum_to_the_whole(self, bpkr):
-        base, pairs, k, ranges = bpkr
-        shards = [choice_ranks(base, pairs, k, a, b) for a, b in ranges]
+    @example(((0b1,), ((0b1, 0b10),), 1))
+    @example(((), ((0, 0b1),), 1))  # n = 1, k = 1
+    @example(((0b110,), ((0b010, 0b100), (0b011, 0b001), (0b111, 0b101)), 2))
+    @example(((), tuple((1 << i % 5, 1 << (i + 2) % 5) for i in range(10)), 3))
+    def test_prefix_ranges_sum_to_the_whole(self, bpk):
+        # Every prefix walked alone sums to the whole walk.
+        base, pairs, k = bpk
+        shards = [choice_ranks(base, pairs, k, p) for p in range(1 << k)]
         assert ([sum(col) for col in zip(*shards)]
-                == choice_ranks(base, pairs, 0, 0, 1))
+                == choice_ranks(base, pairs, 0, 0))
 
 
 # -- the Martin polynomial: circle graph against transition states -----------
@@ -468,19 +459,15 @@ TWO_LOOPS = EulerianDigraph(1, [(0, 0), (0, 0)])
 DOUBLED_2CYCLE = EulerianDigraph(2, [(0, 1), (0, 1), (1, 0), (1, 0)])
 
 
-def state_walk(d, k=0, start=0, stop=1):
-    return _component_histogram(*_incidence(d), k, start, stop)
+def state_walk(d, k=0, prefix=0):
+    return _component_histogram(*_incidence(d), k, prefix)
 
 
 @st.composite
 def digraph_and_shards(draw):
-    """A digraph, a prefix width k and cut points that split the 2**k
-    prefixes into ranges."""
+    """A digraph and a prefix width k."""
     d = draw(walk_digraphs())
-    k = draw(st.integers(0, prefix_bits(d.n)))
-    cuts = draw(st.lists(st.integers(0, 1 << k), max_size=4))
-    bounds = [0] + sorted(cuts) + [1 << k]
-    return d, k, list(zip(bounds, bounds[1:]))
+    return d, draw(st.integers(0, min(d.n, 5)))
 
 
 class TestStateWalk:
@@ -496,11 +483,12 @@ class TestStateWalk:
 
     @PROPERTY
     @given(digraph_and_shards())
-    @example((TWO_LOOPS, 1, [(0, 1), (1, 2)]))
-    @example((DOUBLED_2CYCLE, 2, [(0, 1), (1, 3), (3, 4)]))
-    def test_prefix_ranges_sum_to_the_whole(self, dkr):
-        d, k, ranges = dkr
-        shards = [state_walk(d, k, a, b) for a, b in ranges]
+    @example((TWO_LOOPS, 1))
+    @example((DOUBLED_2CYCLE, 2))
+    def test_prefix_ranges_sum_to_the_whole(self, dk):
+        # Every prefix walked alone sums to the whole walk.
+        d, k = dk
+        shards = [state_walk(d, k, p) for p in range(1 << k)]
         assert [sum(col) for col in zip(*shards)] == state_walk(d)
 
     @PROPERTY

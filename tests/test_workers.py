@@ -1,6 +1,6 @@
 """The process-pool sharding helper: the prefix width it gives a
-kernel, the range split, the processes a pool starts, the CPU affinity
-that sets their number, and a worker that dies."""
+kernel, one prefix per process, the processes a pool starts, the CPU
+affinity that sets their number, and a worker that dies."""
 
 import os
 import random
@@ -19,15 +19,14 @@ from interlacepoly.poly import UniPoly
 from interlacepoly.verify import random_simple_graph
 
 N = _workers.PARALLEL_THRESHOLD
-UNITS = 1 << _workers.prefix_bits(N)  # the prefixes a pooled sum splits
 
 
-def unit_hits(k, start, stop):
-    """One count at each prefix of [start, stop), of the 2**k."""
-    return [int(start <= u < stop) for u in range(1 << k)]
+def unit_hits(k, prefix):
+    """One count at the prefix, of the 2**k."""
+    return [int(u == prefix) for u in range(1 << k)]
 
 
-def exit_at_once(k, start, stop):
+def exit_at_once(k, prefix):
     os._exit(1)
 
 
@@ -62,20 +61,23 @@ class TestRangeSplit:
     def test_every_unit_counted_once(self, monkeypatch, pin_cpus, n, cpus):
         monkeypatch.setattr(_workers, "ProcessPoolExecutor", ThreadPoolExecutor)
         pin_cpus(cpus)
-        units = UNITS if n >= N else 1
+        units = (2 if cpus < 4 else 4) if n >= N else 1
         assert _workers.sum_histograms(unit_hits, (), n) == [1] * units
 
 
 class TestProcessCap:
     def test_capped_at_available_parallelism(self, pin_cpus, inline_pool):
         pin_cpus(3)
-        assert _workers.sum_histograms(unit_hits, (), N) == [1] * UNITS
-        assert inline_pool == [3]
+        assert _workers.sum_histograms(unit_hits, (), N) == [1, 1]
+        assert inline_pool == [2]
 
-    def test_capped_at_range_count(self, pin_cpus, inline_pool):
-        pin_cpus(2 * UNITS)
-        assert _workers.sum_histograms(unit_hits, (), N) == [1] * UNITS
-        assert inline_pool == [UNITS]
+    @pytest.mark.parametrize("cpus, procs", [(2, 2), (3, 2), (4, 4), (5, 4), (7, 4)])
+    def test_one_prefix_per_process(self, pin_cpus, inline_pool, cpus, procs):
+        # The largest power of two the CPUs hold, so that each process
+        # walks one prefix.
+        pin_cpus(cpus)
+        assert _workers.sum_histograms(unit_hits, (), N) == [1] * procs
+        assert inline_pool == [procs]
 
     @pytest.mark.parametrize("n, cpus", [(N - 1, 4), (N, 1)])
     def test_one_process_runs_in_place(self, pin_cpus, inline_pool, n, cpus):
@@ -99,16 +101,15 @@ class TestShardBits:
     """In this process the kernel walks one tree, k = 0, instead of 2**k
     walks that each repeat its first levels."""
 
-    @pytest.mark.parametrize("n, cpus, k", [(N - 1, 4, 0), (N, 1, 0),
-                                            (N, 2, _workers.prefix_bits(N))])
+    @pytest.mark.parametrize("n, cpus, k", [(N - 1, 4, 0), (N, 1, 0), (N, 2, 1)])
     def test_prefixes_only_where_the_sum_pools(self, pin_cpus, inline_pool,
                                                n, cpus, k):
         pin_cpus(cpus)
         widths = set()
 
-        def width(bits, start, stop):
+        def width(bits, prefix):
             widths.add(bits)
-            return [stop - start]
+            return [1]
 
         assert _workers.sum_histograms(width, (), n) == [1 << k]
         assert widths == {k}
@@ -118,22 +119,22 @@ class TestAffinity:
     """The affinity mask is read for real here; the tests above pin
     available_parallelism instead."""
 
-    @pytest.mark.parametrize("cpus, pools", [({0}, []), ({0, 1, 2}, [3])],
+    @pytest.mark.parametrize("cpus, pools", [({0}, []), ({0, 1, 2}, [2])],
                              ids=["one-cpu", "three-cpus"])
     def test_pool_size_follows_the_affinity_mask(self, monkeypatch, inline_pool,
                                                  cpus, pools):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        units = UNITS if pools else 1
+        units = pools[0] if pools else 1
         assert _workers.sum_histograms(unit_hits, (), N) == [1] * units
         assert inline_pool == pools
 
-    @pytest.mark.parametrize("count, pools", [(5, [5]), (None, [])],
+    @pytest.mark.parametrize("count, pools", [(5, [4]), (None, [])],
                              ids=["five-cpus", "count-unknown"])
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch, inline_pool,
                                                 count, pools):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        units = UNITS if pools else 1
+        units = pools[0] if pools else 1
         assert _workers.sum_histograms(unit_hits, (), N) == [1] * units
         assert inline_pool == pools
 
