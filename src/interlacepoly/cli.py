@@ -155,8 +155,13 @@ def _cmd_circle(args) -> int:
         d = eulerian.parse_digraph(text)
         h = eulerian.digraph_circle_graph(d)
     except ValueError as err:
-        # A chord word may also read as digraph text: "1 1 0 0".  A text
-        # that is neither keeps the digraph's error if it parsed as one.
+        # A chord word is one line, and may also read as digraph text:
+        # "1 1 0 0".  A text of more lines is a digraph, since a valid
+        # one never reads as a chord word: each vertex label occurs 4
+        # times among its arcs.  A text that is neither keeps the
+        # digraph's error if it parsed as one.
+        if sum(1 for line in text.splitlines() if line.strip()) > 1:
+            raise
         try:
             h = eulerian.circle_graph(eulerian.parse_chord_word(text))
         except ValueError:

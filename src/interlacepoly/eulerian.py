@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import random
 from operator import itemgetter
-from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from . import _limits, interlace
 from ._limits import budget_spent, check_enumeration, check_vertex_count, store_bytes
@@ -430,12 +431,23 @@ def digraph_circle_graph(d: EulerianDigraph) -> SimpleGraph:
 def verify_theorem_A(d: EulerianDigraph) -> bool:
     """Whether f(d;x) equals x * qn(H; x+1) for H the circle graph of
     the chord diagram of an Euler circuit of d."""
+    return _theorem_A_holds(d, lambda d: [euler_circuit(d)])
+
+
+def _theorem_A_holds(d: EulerianDigraph,
+                     circuits: Callable[[EulerianDigraph], Iterable[Tuple[int, ...]]]) -> bool:
+    """Whether f(d;x) equals x * qn(H; x+1) for H the circle graph of
+    each Euler circuit that circuits(d) yields, once d is checked."""
     _require_valid(d)
     if not d.edges:
         raise ValueError("the identity needs at least one edge")
     f = circuit_partition_poly(d)
-    h = digraph_circle_graph(d)
-    return f == UniPoly.variable() * interlace.qn_closed(h).substitute(1)
+    x = UniPoly.variable()
+    for visits in circuits(d):
+        h = circle_graph(chord_diagram_from_circuit(visits))
+        if f != x * interlace.qn_closed(h).substitute(1):
+            return False
+    return True
 
 
 def enumerate_euler_circuits(d: EulerianDigraph) -> Iterator[Tuple[int, ...]]:
@@ -472,16 +484,7 @@ def verify_theorem_A_all_circuits(d: EulerianDigraph) -> bool:
     circuit, not just the deterministic one.  Capped at 4 vertices."""
     if d.n > 4:
         raise ValueError("all-circuits verification is capped at 4 vertices")
-    _require_valid(d)
-    if not d.edges:
-        raise ValueError("the identity needs at least one edge")
-    f = circuit_partition_poly(d)
-    x = UniPoly.variable()
-    for visits in enumerate_euler_circuits(d):
-        h = circle_graph(chord_diagram_from_circuit(visits))
-        if f != x * interlace.qn_closed(h).substitute(1):
-            return False
-    return True
+    return _theorem_A_holds(d, enumerate_euler_circuits)
 
 
 def random_eulerian_digraph(n: int, seed: int) -> EulerianDigraph:

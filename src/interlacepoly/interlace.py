@@ -16,8 +16,7 @@ x=2 specialization.
 
 from __future__ import annotations
 
-from math import comb, prod
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ._limits import Memo, check_enumeration
 from ._workers import sum_histograms
@@ -88,16 +87,7 @@ def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
         return hit
     masks = component_masks(adj)
     if len(masks) > 1:
-        parts = _edged_components(adj, masks)
-        packed = 1 << w * (len(masks) - len(parts))
-        for m in parts:
-            rows = restrict_rows(adj, m)
-            part = memo.get(rows)
-            if part is None:
-                part = _qn_recursive_rec(
-                    SimpleGraph(m.bit_count(), rows, g.loops_allowed, _valid=True),
-                    w, memo)
-            packed *= part
+        packed = _component_product(g, masks, w, memo, _qn_recursive_rec, 1 << w)
     elif len(adj) > 1:
         # Connected, so vertex 0 has a neighbor; its least neighbor v
         # makes (0, v) the lex-least edge.
@@ -111,10 +101,24 @@ def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
     return packed
 
 
-def _edged_components(adj: Rows, masks: List[int]) -> List[int]:
-    """The component masks that are not a lone loopless vertex.  A
-    component's highest vertex has a zero row iff it is such a vertex."""
-    return [m for m in masks if adj[m.bit_length() - 1]]
+def _component_product(g: SimpleGraph, masks: List[int], w: int, memo: Memo,
+                       rec: Callable[[SimpleGraph, int, Memo], int],
+                       lone: int) -> int:
+    """The product over the components of g, given as vertex masks, of
+    rec on each, looked up in the memo first; a lone loopless vertex is
+    the factor `lone` instead.  A component's highest vertex has a zero
+    row iff it is such a vertex."""
+    adj = g.adj
+    parts = [m for m in masks if adj[m.bit_length() - 1]]
+    packed = lone ** (len(masks) - len(parts))
+    for m in parts:
+        rows = restrict_rows(adj, m)
+        part = memo.get(rows)
+        if part is None:
+            part = rec(SimpleGraph(m.bit_count(), rows, g.loops_allowed, _valid=True),
+                       w, memo)
+        packed *= part
+    return packed
 
 
 # -- closed subset sum --------------------------------------------------
@@ -331,8 +335,8 @@ def qn_bouchet(g: SimpleGraph) -> UniPoly:
     product."""
     _require_loopless(g)
     w = g.n + 1
-    memo = Memo()
-    packed = prod(_qn_bouchet_rec(c, w, memo) for c in g.components())
+    packed = _component_product(g, component_masks(g.adj), w, Memo(),
+                                _qn_bouchet_rec, 1 << w)
     return UniPoly(unpack_fields(packed, w, w))
 
 
@@ -417,16 +421,7 @@ def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
         return hit
     masks = component_masks(adj)
     if len(masks) > 1:
-        parts = _edged_components(adj, masks)
-        packed = ((1 << w) + 1) ** (len(masks) - len(parts))
-        for m in parts:
-            rows = restrict_rows(adj, m)
-            part = memo.get(rows)
-            if part is None:
-                part = _q2_reduction_rec(
-                    SimpleGraph(m.bit_count(), rows, g.loops_allowed, _valid=True),
-                    w, memo)
-            packed *= part
+        packed = _component_product(g, masks, w, memo, _q2_reduction_rec, (1 << w) + 1)
     elif (edge := _least_loopless_edge(adj)) is not None:
         a, b = edge
         # a < b, so deleting b leaves a's index unchanged.
@@ -486,13 +481,15 @@ def _require_loopless(g: SimpleGraph) -> None:
 
 def _bipoly_from_rank_counts(profile: List[int], n: int) -> BiPoly:
     """Expand the sum over the profile's (rank r, nullity u, count c) of
-    c * (x-1)**r * (y-1)**u."""
-    terms: Dict[Tuple[int, int], int] = {}
+    c * (x-1)**r * (y-1)**u: shift each rank's nullity histogram in y,
+    then each power of y's coefficients over the ranks in x."""
+    by_rank = [[0] * (n + 1) for _ in range(n + 1)]
     for r, u, c in _profile_entries(profile, n):
-        for i in range(r + 1):
-            ci = c * comb(r, i) * (-1) ** (r - i)
-            for j in range(u + 1):
-                cij = ci * comb(u, j) * (-1) ** (u - j)
-                if cij:
-                    terms[(i, j)] = terms.get((i, j), 0) + cij
+        by_rank[r][u] = c
+    in_y = [poly_from_shift_counts(row).coeffs for row in by_rank]
+    terms: Dict[Tuple[int, int], int] = {}
+    for j in range(n + 1):
+        in_x = poly_from_shift_counts([ys[j] if j < len(ys) else 0 for ys in in_y])
+        for i, c in enumerate(in_x.coeffs):
+            terms[(i, j)] = c
     return BiPoly(terms)

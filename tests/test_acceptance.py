@@ -41,14 +41,14 @@ def test_criterion_03_single_variable_specialization(capsys):
 
 
 def test_criterion_04_two_variable_consistency(capsys):
-    ok = verify.check_eq2(4, SEED, random_count=200, max_random_n=7)
+    ok = verify.check_eq2(4, SEED)
     report(capsys, ok, 4,
            "q2 reduction equals the closed sum (all loop patterns n <= 4 "
            "+ 200 random n <= 7)")
 
 
 def test_criterion_05_intersection_dimension_formula(capsys):
-    ok = verify.check_dim_formula(5, SEED, random_count=1000, max_random_n=10)
+    ok = verify.check_dim_formula(5, SEED)
     report(capsys, ok, 5,
            "dim(L meet F-hat) equals the restricted-rank formula "
            "(exhaustive n <= 5 + 1000 random n <= 10)")
@@ -62,7 +62,7 @@ def test_criterion_06_even_subgraph_characterizations(capsys):
 
 
 def test_criterion_07_circuit_partition_identity(capsys):
-    ok = (verify.check_theorem_a(SEED, random_count=100, max_random_n=5)
+    ok = (verify.check_theorem_a(SEED)
           and verify.check_theorem_a_all_circuits(SEED))
     report(capsys, ok, 7,
            "f(G;x) = x*qn(H;x+1) on hand instances, 100 random digraphs, "

@@ -166,6 +166,12 @@ class TestDigraphCommands:
         # cross.
         assert run_ok(capsys, ["circle", word]) == out
 
+    def test_circle_reads_a_text_of_several_lines_as_a_digraph(self, capsys):
+        # The directed triangle, whose vertices have in- and out-degree
+        # 1; its tokens would pair up as a chord word.
+        err = run_err(capsys, ["circle", "3 3\n0 1\n1 2\n2 0"])
+        assert err.count("\n") == 1 and "in-degree" in err
+
     def test_circle_keeps_the_digraph_error(self, capsys):
         # Neither a 2-in-2-out digraph nor a chord word.
         err = run_err(capsys, ["circle", "2 1 0 1"])

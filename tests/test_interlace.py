@@ -198,14 +198,37 @@ class TestTwoVariable:
         assert qn_from_q2(E(3)) == UniPoly((0, 0, 0, 1), var="y")
 
     def test_specialization_equals_qn(self):
+        # Against the recursion: qn_closed expands the same rank profile
+        # as q2_closed, so it would agree with a corrupted one.
         for n in range(5):
             for g in all_simple_graphs(n):
-                assert qn_from_q2(g) == qn_closed(g).with_var("y")
+                assert qn_from_q2(g) == qn_recursive(g).with_var("y")
 
     def test_q2_and_qn_share_the_pooled_kernel(self, pin_cpus):
         pin_cpus(2)
         g = random_simple_graph(_workers.PARALLEL_THRESHOLD, random.Random(4))
         assert q2_closed(g).eval_at(2) == qn_closed(g).with_var("y")
+
+
+class TestComponentSplit:
+    """The recursions take a lone loopless vertex as a factor and reduce
+    every other component on its own; here the lone vertices 0, 3 and 6
+    sit between the vertices of a triangle and of an edge."""
+
+    G = SimpleGraph.from_edges(8, [(1, 4), (4, 7), (1, 7), (2, 5)])
+
+    def test_qn_recursions_match_the_closed_sum(self):
+        # x**3 * qn(K3) * qn(K2) = x**3 * 4x * 2x
+        assert qn_closed(self.G) == UniPoly((0,) * 5 + (8,))
+        assert qn_recursive(self.G) == qn_closed(self.G)
+        assert qn_bouchet(self.G) == qn_closed(self.G)
+
+    def test_q2_reduction_matches_the_closed_sum_with_a_looped_vertex(self):
+        looped = SimpleGraph.from_edges(9, self.G.edges() + [(8, 8)],
+                                        loops_allowed=True)
+        for g in (self.G, looped):
+            assert q2_reduction(g) == q2_closed(g)
+        assert q2_closed(looped) == q2_closed(self.G) * BiPoly({(1, 0): 1})
 
 
 class TestFieldWidth:
