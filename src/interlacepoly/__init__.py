@@ -1,74 +1,44 @@
 """Interlace polynomials of graphs, isotropic systems over the Klein
 group, and circuit partition polynomials of 4-regular Eulerian
 digraphs, with every quantity computable by independent routes that
-cross-validate each other."""
+cross-validate each other.
 
-from .eulerian import (
-    ChordDiagram,
-    EulerianDigraph,
-    chord_diagram_from_circuit,
-    circle_graph,
-    circuit_partition_poly,
-    euler_circuit,
-    martin_poly,
-    parse_chord_word,
-    parse_digraph,
-    random_eulerian_digraph,
-)
-from .graph import SimpleGraph, parse_graph
-from .interlace import (
-    QN_METHODS,
-    q2_closed,
-    q2_reduction,
-    qn,
-    qn_avdh,
-    qn_bouchet,
-    qn_closed,
-    qn_from_q2,
-    qn_isotropic,
-    qn_recursive,
-)
-from .isotropic import (
-    IsotropicSystem,
-    KVector,
-    graphic_system,
-    tutte_martin_canonical,
-    tutte_martin_restricted,
-)
-from .poly import BiPoly, UniPoly
-from .verify import run_verification
+Each public name is imported from its module on first use, so that
+importing the package loads none of its modules."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoly",
-    "ChordDiagram",
-    "EulerianDigraph",
-    "IsotropicSystem",
-    "KVector",
-    "QN_METHODS",
-    "SimpleGraph",
-    "UniPoly",
-    "chord_diagram_from_circuit",
-    "circle_graph",
-    "circuit_partition_poly",
-    "euler_circuit",
-    "graphic_system",
-    "martin_poly",
-    "parse_chord_word",
-    "parse_digraph",
-    "parse_graph",
-    "q2_closed",
-    "q2_reduction",
-    "qn",
-    "qn_avdh",
-    "qn_bouchet",
-    "qn_closed",
-    "qn_from_q2",
-    "qn_isotropic",
-    "qn_recursive",
-    "random_eulerian_digraph",
-    "run_verification",
-    "tutte_martin_canonical",
-    "tutte_martin_restricted",
-]
+_MODULES = {
+    "eulerian": ("ChordDiagram", "EulerianDigraph", "chord_diagram_from_circuit",
+                 "circle_graph", "circuit_partition_poly", "euler_circuit",
+                 "martin_poly", "parse_chord_word", "parse_digraph",
+                 "random_eulerian_digraph"),
+    "graph": ("SimpleGraph", "parse_graph"),
+    "interlace": ("QN_METHODS", "q2_closed", "q2_reduction", "qn", "qn_avdh",
+                  "qn_bouchet", "qn_closed", "qn_from_q2", "qn_isotropic",
+                  "qn_recursive"),
+    "isotropic": ("IsotropicSystem", "KVector", "graphic_system",
+                  "tutte_martin_canonical", "tutte_martin_restricted"),
+    "poly": ("BiPoly", "UniPoly"),
+    "verify": ("run_verification",),
+}
+
+# Each public name and the module that defines it.
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

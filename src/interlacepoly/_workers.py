@@ -5,11 +5,23 @@ many processes it gets."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from typing import Callable, List, Sequence
 
 # Below this size the per-process overhead dwarfs the sum itself.
 PARALLEL_THRESHOLD = 16
+
+
+def __getattr__(name: str):
+    # The pool class is imported on first use: concurrent.futures.process
+    # loads multiprocessing, which a call that runs in this process never
+    # needs.  Once imported it is a module attribute, which a test or a
+    # tracer may replace.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def available_parallelism() -> int:
@@ -33,6 +45,6 @@ def sum_histograms(kernel: Callable[..., List[int]], args: Sequence,
     if procs <= 1 or n < PARALLEL_THRESHOLD:
         return kernel(*args, 0, 0)
     k = procs.bit_length() - 1
-    with ProcessPoolExecutor(1 << k) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(1 << k) as pool:
         jobs = [pool.submit(kernel, *args, k, prefix) for prefix in range(1 << k)]
         return [sum(col) for col in zip(*(job.result() for job in jobs))]

@@ -5,21 +5,27 @@ argument is not an existing file and contains whitespace) the literal
 text itself.  Exit codes: 0 success, 1 input error, a route past its
 bound (see _limits), worker crash, interrupt, exhausted memory or
 recursion depth, 2 verification failure.
+
+Each command imports the modules it runs when it runs, so that a launch
+loads only those: qn on a small graph loads neither the process pool
+nor the isotropic, eulerian and verify modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from concurrent.futures import BrokenExecutor
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from . import eulerian, interlace, isotropic, verify
 from .graph import SimpleGraph, parse_graph
-from .isotropic import K_X, K_Y, KVector
-from .poly import BiPoly, UniPoly
+
+if TYPE_CHECKING:
+    from .poly import BiPoly, UniPoly
+
+# interlace.QN_METHODS, kept here so that building the parser does not
+# import interlace; a test pins the two together.
+QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
 
 
 class CliInputError(Exception):
@@ -49,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("qn", "single-variable interlace polynomial of a loopless graph",
             _cmd_qn)
-    p.add_argument("--method", choices=interlace.QN_METHODS, default="closed",
+    p.add_argument("--method", choices=QN_METHODS, default="closed",
                    help="computation route (default closed)")
 
     p = add("q2", "two-variable interlace polynomial (loops allowed)", _cmd_q2)
@@ -92,13 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_input(token: str) -> str:
     if token == "-":
         return sys.stdin.read()
-    try:
-        path = Path(token)
-        is_file = path.is_file()
-    except (OSError, ValueError):
-        is_file = False
-    if is_file:
-        return path.read_text(encoding="utf-8")
+    if os.path.isfile(token):
+        with open(token, encoding="utf-8") as fh:
+            return fh.read()
     if any(ch.isspace() for ch in token):
         return token
     raise ValueError(f"no such file: {token}")
@@ -110,18 +112,21 @@ def _emit_poly(p: Union[UniPoly, BiPoly], fmt: str) -> None:
 
 def _emit_graph(g: SimpleGraph, fmt: str) -> None:
     if fmt == "json":
+        import json
         print(json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]}))
     else:
         sys.stdout.write(g.to_text())
 
 
 def _cmd_qn(args) -> int:
+    from . import interlace
     g = parse_graph(_read_input(args.input))
     _emit_poly(interlace.qn(g, method=args.method), args.output)
     return 0
 
 
 def _cmd_q2(args) -> int:
+    from . import interlace
     g = parse_graph(_read_input(args.input))
     fn = interlace.q2_closed if args.method == "closed" else interlace.q2_reduction
     _emit_poly(fn(g), args.output)
@@ -129,26 +134,30 @@ def _cmd_q2(args) -> int:
 
 
 def _cmd_tm(args) -> int:
+    from .isotropic import K_X, K_Y, KVector, tutte_martin_presented
     g = parse_graph(_read_input(args.input))
     a = KVector.parse(args.A) if args.A is not None else KVector.constant(g.n, K_X)
     b = KVector.parse(args.B) if args.B is not None else KVector.constant(g.n, K_Y)
-    _emit_poly(isotropic.tutte_martin_presented(g, a, b), args.output)
+    _emit_poly(tutte_martin_presented(g, a, b), args.output)
     return 0
 
 
 def _cmd_cpp(args) -> int:
+    from . import eulerian
     d = eulerian.parse_digraph(_read_input(args.input))
     _emit_poly(eulerian.circuit_partition_poly(d), args.output)
     return 0
 
 
 def _cmd_martin(args) -> int:
+    from . import eulerian
     d = eulerian.parse_digraph(_read_input(args.input))
     _emit_poly(eulerian.martin_poly(d), args.output)
     return 0
 
 
 def _cmd_circle(args) -> int:
+    from . import eulerian
     text = _read_input(args.input)
     d = None
     try:
@@ -158,9 +167,10 @@ def _cmd_circle(args) -> int:
         # A chord word is one line, and may also read as digraph text:
         # "1 1 0 0".  A text of more lines is a digraph, since a valid
         # one never reads as a chord word: each vertex label occurs 4
-        # times among its arcs.  A text that is neither keeps the
-        # digraph's error if it parsed as one.
-        if sum(1 for line in text.splitlines() if line.strip()) > 1:
+        # times among its arcs.  A blank text is an empty input, as it
+        # is to cpp.  A text that is neither keeps the digraph's error
+        # if it parsed as one.
+        if sum(1 for line in text.splitlines() if line.strip()) != 1:
             raise
         try:
             h = eulerian.circle_graph(eulerian.parse_chord_word(text))
@@ -185,6 +195,7 @@ def _cmd_lc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     return 0 if verify.run_verification(max_n=args.max_n, seed=args.seed) else 2
 
 
@@ -202,7 +213,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
-    except (BrokenExecutor, RecursionError) as err:
+    except RuntimeError as err:
+        # A pool that broke has imported concurrent.futures; a command
+        # that ran without one has not, and cannot raise BrokenExecutor.
+        futures = sys.modules.get("concurrent.futures")
+        if not (isinstance(err, RecursionError)
+                or (futures is not None and isinstance(err, futures.BrokenExecutor))):
+            raise
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 

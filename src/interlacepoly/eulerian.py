@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from . import _limits, interlace
+from . import _limits
 from ._limits import budget_spent, check_enumeration, check_vertex_count, store_bytes
 from ._workers import sum_histograms
 from .graph import SimpleGraph, _header_and_pairs
@@ -306,6 +306,8 @@ def martin_poly(d: EulerianDigraph) -> UniPoly:
     """
     if not d.edges:
         raise ValueError("the Martin polynomial needs at least one edge")
+    # Imported here, so that cpp and circle load neither interlace nor gf2.
+    from . import interlace
     return interlace.qn_recursive(digraph_circle_graph(d))
 
 
@@ -441,6 +443,7 @@ def _theorem_A_holds(d: EulerianDigraph,
     _require_valid(d)
     if not d.edges:
         raise ValueError("the identity needs at least one edge")
+    from . import interlace
     f = circuit_partition_poly(d)
     x = UniPoly.variable()
     for visits in circuits(d):

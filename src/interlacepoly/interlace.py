@@ -20,7 +20,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ._limits import Memo, check_enumeration
 from ._workers import sum_histograms
-from .gf2 import choice_ranks, rank
 from .graph import Rows, SimpleGraph, component_masks, restrict_rows
 from .poly import BiPoly, UniPoly, poly_from_shift_counts, unpack_fields
 
@@ -144,6 +143,7 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
     shared walk: a histogram of |W| - rank(A[W]), expanded like the fast
     routes'.  Slow; kept as the reference the fast path is tested
     against."""
+    from .gf2 import rank
     _require_loopless(g)
     check_enumeration(g.n)
     counts = [0] * (g.n + 1)
@@ -309,6 +309,7 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
         ValueError: if n is past the enumeration bound, or if the walk's
             memo needs more than the memo budget (see _limits).
     """
+    from .gf2 import choice_ranks
     _require_loopless(g)
     check_enumeration(g.n)
     pairs = tuple((row, 1 << i) for i, row in enumerate(g.adj))

@@ -7,7 +7,6 @@ identity checks demand bit-exact equality.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -132,6 +131,7 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r}, var={self.var!r})"
 
     def to_json(self) -> str:
+        import json
         return json.dumps({"var": self.var, "coeffs": list(self.coeffs)})
 
 
@@ -214,6 +214,7 @@ class BiPoly:
         return f"BiPoly({self.terms!r}, vars={self.vars!r})"
 
     def to_json(self) -> str:
+        import json
         terms = [[i, j, self.terms[(i, j)]] for (i, j) in sorted(self.terms)]
         return json.dumps({"vars": list(self.vars), "terms": terms})
 

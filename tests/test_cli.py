@@ -177,6 +177,19 @@ class TestDigraphCommands:
         err = run_err(capsys, ["circle", "2 1 0 1"])
         assert err.count("\n") == 1 and "in-degree" in err
 
+    @pytest.mark.parametrize("channel", ["inline", "file", "stdin"])
+    def test_circle_blank_text_is_an_empty_input(self, capsys, monkeypatch,
+                                                 tmp_path, channel):
+        # Not the empty chord word: cpp and qn reject the same text.
+        token = " "
+        if channel == "file":
+            token = str(tmp_path / "empty.txt")
+            (tmp_path / "empty.txt").write_text("")
+        elif channel == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+            token = "-"
+        assert run_err(capsys, ["circle", token]) == "error: empty digraph input\n"
+
 
 class TestGraphTransforms:
     def test_pivot(self, capsys):
@@ -243,6 +256,13 @@ class TestParserContract:
         monkeypatch.setattr(interlace, "qn_closed", fail)
         err = run_err(capsys, ["qn", P3_TEXT])
         assert err.count("\n") == 1
+
+    def test_other_runtime_errors_propagate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("a bug")
+        monkeypatch.setattr(interlace, "qn_closed", fail)
+        with pytest.raises(RuntimeError, match="a bug"):
+            cli.run(["qn", P3_TEXT])
 
     @pytest.mark.parametrize("exc, message", [
         (RecursionError("maximum recursion depth exceeded"), "recursion depth"),
