@@ -19,6 +19,9 @@ charged.
 
 MAX_INPUT_VERTICES bounds the O(n**2) validation of a graph and the
 rows a parse allocates; a vertex set is a Python int of any width.
+
+max_cut_rank derives from rule 2 the cut-rank at which the recursions'
+vertex order (graph.cut_rank_order) stops choosing.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ def store_bytes(key_len: int, key_bits: int, value_bits: int) -> int:
     of key_len ints of at most key_bits bits each."""
     key_int = 0 if key_bits <= 8 else 40 + key_bits // 7
     return ENTRY_BYTES + key_len * (8 + key_int) + value_bits // 7
+
+
+def max_cut_rank() -> int:
+    """log2(MEMO_BUDGET_BYTES / ENTRY_BYTES), rounded down: the cut-rank
+    past which graph.cut_rank_order stops choosing.  Below a prefix of
+    cut-rank r the recursions meet on the order of 2**r distinct graphs,
+    so past this r no order keeps their memo inside the budget."""
+    return (MEMO_BUDGET_BYTES // ENTRY_BYTES).bit_length() - 1
 
 
 def budget_spent() -> ValueError:

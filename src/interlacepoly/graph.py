@@ -14,9 +14,9 @@ not checked again.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._limits import check_vertex_count
+from ._limits import check_vertex_count, max_cut_rank
 
 Rows = Tuple[int, ...]  # adjacency rows, one bitmask per vertex
 
@@ -365,6 +365,108 @@ def restrict_rows(adj: Rows, mask: int) -> Rows:
             b = r & -r
             r ^= b
             row |= 1 << (mask & (b - 1)).bit_count()
+        out.append(row)
+    return tuple(out)
+
+
+def cut_rank_order(adj: Rows) -> List[int]:
+    """A vertex order whose prefixes S keep the cut-rank
+    rank(A[S, V - S]) over GF(2) low, grown greedily: each step places
+    the frontier vertex (a neighbor of S outside S) that gives the least
+    cut-rank, ties going to fewer neighbors outside S, then to the lower
+    label.  With no frontier a new component starts at its least-degree
+    vertex.  Once the cut-rank passes _limits.max_cut_rank() the rest
+    keep their label order.  Loops play no part.
+
+    The cut space, spanned by the rows of S restricted to V - S, is kept
+    in reduced echelon form, each vector in `basis` under its lowest bit.
+    Placing c drops column c and adds c's row, so the cut-rank moves by
+    at most one each way: it falls iff the unit vector at c is in the
+    space, and it rises iff c's row r is in neither the space nor its
+    sum with that unit vector.  The space lies on the frontier's columns,
+    so r is outside it if it reaches past the frontier; otherwise one
+    reduction by the basis decides, O(cut-rank) per candidate."""
+    n = len(adj)
+    cap = max_cut_rank()
+    shift = n.bit_length()
+    starts = iter(sorted(range(n), key=lambda v: ((adj[v] & ~(1 << v)).bit_count(), v)))
+    order: List[int] = []
+    out = (1 << n) - 1  # the vertices outside S
+    frontier = 0
+    basis: Dict[int, int] = {}
+    while out:
+        if frontier:
+            now = len(basis)
+            best = (n + 2) << shift
+            m = frontier
+            while m:
+                bit = m & -m
+                m ^= bit
+                r = adj[bit.bit_length() - 1] & out & ~bit
+                rank = now
+                led = basis.get(bit)
+                if led == bit:
+                    rank -= 1
+                    unit = 0  # what the unit vector at c reduces to
+                else:
+                    unit = bit if led is None else bit ^ led
+                if r & ~frontier:
+                    rank += 1
+                else:
+                    y = r
+                    for p, b in basis.items():
+                        if y & p:
+                            y ^= b
+                    if y and y != unit:
+                        rank += 1
+                score = rank << shift | r.bit_count()
+                if score < best:
+                    best, pick = score, bit
+            bit = pick
+        else:
+            bit = 1 << next(v for v in starts if out >> v & 1)
+        c = bit.bit_length() - 1
+        order.append(c)
+        out ^= bit
+        row = adj[c] & out
+        frontier = (frontier | row) & out
+        # Drop column c: a vector led by c comes back without it, led by
+        # its next bit; any other vector loses its bit c.
+        led = basis.pop(bit, 0)
+        if not led:
+            for p, b in basis.items():
+                if b & bit:
+                    basis[p] = b ^ bit
+        for y in (led and led ^ bit, row):
+            for p, b in basis.items():
+                if y & p:
+                    y ^= b
+            if y:
+                low = y & -y
+                for p, b in basis.items():
+                    if b & low:
+                        basis[p] = b ^ y
+                basis[low] = y
+        if len(basis) > cap:
+            order.extend(v for v in range(n) if out >> v & 1)
+            break
+    return order
+
+
+def relabel_rows(adj: Rows, order: Sequence[int]) -> Rows:
+    """Rows of the same graph with vertex order[i] relabeled i; a loop
+    stays with its vertex."""
+    new = [0] * len(adj)
+    for i, v in enumerate(order):
+        new[v] = 1 << i
+    out = []
+    for v in order:
+        r = adj[v]
+        row = 0
+        while r:
+            b = r & -r
+            r ^= b
+            row |= new[b.bit_length() - 1]
         out.append(row)
     return tuple(out)
 

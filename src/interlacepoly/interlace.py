@@ -16,11 +16,12 @@ x=2 specialization.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from ._limits import Memo, check_enumeration
 from ._workers import sum_histograms
-from .graph import Rows, SimpleGraph, component_masks, restrict_rows
+from .graph import (Rows, SimpleGraph, component_masks, cut_rank_order,
+                    relabel_rows, restrict_rows)
 from .poly import BiPoly, UniPoly, poly_from_shift_counts, unpack_fields
 
 QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
@@ -57,9 +58,17 @@ def qn(g: SimpleGraph, method: str = "closed") -> UniPoly:
 
 
 def qn_recursive(g: SimpleGraph) -> UniPoly:
-    """Pivot-and-delete recursion: on the lexicographically least edge vw,
+    """Pivot-and-delete recursion: on an edge vw,
     qn(G) = qn(G - v) + qn(pivot(G, v, w) - w); qn of n isolated vertices
     is x**n.
+
+    qn does not depend on the edge taken (Arratia, Bollobas and Sorkin)
+    nor on the labels, but the cost does: the recursion takes the least
+    edge (0, v), so it deletes vertices about in label order, and the
+    graphs it meets below a prefix S of that order are governed by the
+    cut-rank rank(A[S, V - S]) over GF(2) (Oum, 2005).  So the input is
+    relabeled once, on entry, by graph.cut_rank_order, which keeps those
+    cut-ranks low.
 
     qn is multiplicative over disjoint unions, so every node of the
     recursion that is not connected is the product of its components,
@@ -76,7 +85,7 @@ def qn_recursive(g: SimpleGraph) -> UniPoly:
     product of components is *."""
     _require_loopless(g)
     w = g.n + 1
-    return UniPoly(unpack_fields(_qn_recursive_rec(g, w, Memo()), w, w))
+    return UniPoly(unpack_fields(_qn_recursive_rec(_relabeled(g), w, Memo()), w, w))
 
 
 def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
@@ -324,18 +333,22 @@ def qn_bouchet(g: SimpleGraph) -> UniPoly:
     """Recursion by local complementations: qn of the empty graph is 1;
     for isolated v, qn(G) = x * qn(G - v); for an edge vw,
     qn(G) = qn(G - v) + qn(lc(lc(lc(G, v), w), v) - v), where lc is
-    local complementation.
+    local complementation.  The recursion takes v = 0 and w its least
+    neighbor, so it deletes the vertices in label order, and the input
+    is relabeled once, on entry, by graph.cut_rank_order (see
+    qn_recursive).
 
-    The graph is checked once, on entry, and split into its connected
-    components, which are reduced one at a time and multiplied; unlike
-    qn_recursive the recursion does not split again below the top, since
-    that made it slower.  It is memoized on adjacency rows in one memo
-    for this call, shared by the components and held to the memo budget
-    like qn_recursive's.  Polynomials are packed ints with qn_recursive's
-    field width w = n + 1, so the product over the components is an int
-    product."""
+    The graph is checked once, on entry, relabeled and split into its
+    connected components, which are reduced one at a time and
+    multiplied; unlike qn_recursive the recursion does not split again
+    below the top, since that made it slower.  It is memoized on
+    adjacency rows in one memo for this call, shared by the components
+    and held to the memo budget like qn_recursive's.  Polynomials are
+    packed ints with qn_recursive's field width w = n + 1, so the
+    product over the components is an int product."""
     _require_loopless(g)
     w = g.n + 1
+    g = _relabeled(g)
     packed = _component_product(g, component_masks(g.adj), w, Memo(),
                                 _qn_bouchet_rec, 1 << w)
     return UniPoly(unpack_fields(packed, w, w))
@@ -384,13 +397,20 @@ def q2_closed(g: SimpleGraph) -> BiPoly:
 
 
 def q2_reduction(g: SimpleGraph) -> BiPoly:
-    """q2 by reduction.  On the least edge ab whose endpoints both lack
-    loops (other vertices may be looped):
+    """q2 by reduction.  On an edge ab whose endpoints both lack loops
+    (other vertices may be looped):
     q2(G) = q2(G - a) + q2(G' - b) + ((x-1)**2 - 1) * q2(G' - a - b)
-    with G' = pivot(G, a, b).  With no such edge, the least looped
-    vertex a gives q2(G) = q2(G - a) + (x-1) * q2(lc(G, a) - a); local
-    complementation at a looped vertex flips loops as well.  A graph
-    with neither (edgeless) is the base case y**n.
+    with G' = pivot(G, a, b).  At a looped vertex a,
+    q2(G) = q2(G - a) + (x-1) * q2(lc(G, a) - a); local complementation
+    at a looped vertex flips loops as well.  An edgeless loopless graph
+    is the base case y**n.
+
+    Either step holds at any such edge or vertex, and the reduction
+    takes vertex 0 first (see _first_step), so that, like qn_bouchet, it
+    deletes the vertices about in label order; its input is relabeled
+    once, on entry, by graph.cut_rank_order (see qn_recursive).  The
+    least loopless edge would leave the looped vertices to the end
+    whatever their labels.
 
     q2 is multiplicative over disjoint unions, so every node of the
     reduction that is not connected is the product of its components,
@@ -411,7 +431,7 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     q2_closed's."""
     n = g.n
     w = n + 1
-    packed = _q2_reduction_rec(g, w, Memo())
+    packed = _q2_reduction_rec(_relabeled(g), w, Memo())
     return _bipoly_from_rank_counts(unpack_fields(packed, w, w * w), n)
 
 
@@ -423,46 +443,42 @@ def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
     masks = component_masks(adj)
     if len(masks) > 1:
         packed = _component_product(g, masks, w, memo, _q2_reduction_rec, (1 << w) + 1)
-    elif (edge := _least_loopless_edge(adj)) is not None:
-        a, b = edge
-        # a < b, so deleting b leaves a's index unchanged.
-        minus_b = g._pivot_unchecked(a, b).delete_vertex(b)
-        # C first, so that no partial sum waits while a child recurses.
-        c = _q2_reduction_rec(minus_b.delete_vertex(a), w, memo)
-        packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
-                  + _q2_reduction_rec(minus_b, w, memo)
-                  + (c << 2 * w * (w + 1)) - c)  # C*u**2 - C
-    else:
-        looped = None
-        for v, row in enumerate(adj):
-            if (row >> v) & 1:
-                looped = v
-                break
-        if looped is not None:
-            a = looped
+    elif adj and adj[0]:
+        a, b = _first_step(adj)
+        if b:
+            # a = 0 < b, so deleting b leaves a's index unchanged.
+            minus_b = g._pivot_unchecked(a, b).delete_vertex(b)
+            # C first, so that no partial sum waits while a child recurses.
+            c = _q2_reduction_rec(minus_b.delete_vertex(a), w, memo)
+            packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
+                      + _q2_reduction_rec(minus_b, w, memo)
+                      + (c << 2 * w * (w + 1)) - c)  # C*u**2 - C
+        else:
             packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
                       + (_q2_reduction_rec(g.local_complement(a).delete_vertex(a),
                                            w, memo) << w * (w + 1)))  # + C*u
-        else:
-            packed = ((1 << w) + 1) ** len(adj)
+    else:
+        packed = ((1 << w) + 1) ** len(adj)
     memo.store(adj, packed)
     return packed
 
 
-def _least_loopless_edge(adj: Rows) -> Optional[Tuple[int, int]]:
-    """Lex-least edge ab with neither endpoint looped, as (a, b), a < b."""
-    unlooped = 0
-    for v, row in enumerate(adj):
-        if not (row >> v) & 1:
-            unlooped |= 1 << v
-    for a, row in enumerate(adj):
-        if not (unlooped >> a) & 1:
-            continue
-        row &= unlooped
-        if row:
-            # Any qualifying neighbor below a would have been found first.
-            return a, (row & -row).bit_length() - 1
-    return None
+def _first_step(adj: Rows) -> Tuple[int, int]:
+    """The step of the reduction at a connected graph, which takes
+    vertex 0 first: (0, 0), the looped step at 0, if 0 is looped; else
+    (0, b), the edge step, for its least loopless neighbor b; else
+    (a, 0), the looped step at its least neighbor a, which is looped."""
+    row = adj[0]
+    if row & 1:
+        return 0, 0
+    m = row
+    while m:
+        low = m & -m
+        b = low.bit_length() - 1
+        if not adj[b] & low:
+            return 0, b
+        m ^= low
+    return (row & -row).bit_length() - 1, 0
 
 
 def qn_from_q2(g: SimpleGraph) -> UniPoly:
@@ -473,6 +489,12 @@ def qn_from_q2(g: SimpleGraph) -> UniPoly:
 
 
 # -- shared helpers -------------------------------------------------------
+
+
+def _relabeled(g: SimpleGraph) -> SimpleGraph:
+    adj = g.adj
+    return SimpleGraph(g.n, relabel_rows(adj, cut_rank_order(adj)),
+                       g.loops_allowed, _valid=True)
 
 
 def _require_loopless(g: SimpleGraph) -> None:

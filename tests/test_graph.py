@@ -1,15 +1,18 @@
 """Graph structure tests: validation, the pivot and local
-complementation moves, deletion re-indexing, and the text format."""
+complementation moves, deletion re-indexing, the cut-rank vertex order
+and relabeling, and the text format."""
 
 import random
 import tracemalloc
 
 import pytest
 
-from interlacepoly._limits import MAX_INPUT_VERTICES
+from interlacepoly import _limits
+from interlacepoly._limits import ENTRY_BYTES, MAX_INPUT_VERTICES
 from interlacepoly.eulerian import parse_digraph
 from interlacepoly.gf2 import rank
-from interlacepoly.graph import SimpleGraph, parse_graph
+from interlacepoly.graph import (SimpleGraph, cut_rank_order, parse_graph,
+                                 relabel_rows)
 
 
 def path(n):
@@ -211,6 +214,120 @@ class TestDeletionAndSubgraphs:
         assert K3.is_even_subgraph([0, 1, 2])  # every degree is 2
         assert not K3.is_even_subgraph([0, 1])  # one edge, odd degrees
         assert path(3).is_even_subgraph([0, 2])
+
+
+def cycle(n):
+    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete(n):
+    return SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u)])
+
+
+def shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()],
+                                  loops_allowed=g.loops_allowed)
+
+
+def random_graph(n, seed, loops=False):
+    rng = random.Random(seed)
+    return SimpleGraph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u if loops else u + 1, n)
+            if rng.random() < 0.3], loops_allowed=loops)
+
+
+def cut_ranks(g, order):
+    """rank(A[S, V - S]) over GF(2) for each prefix S of the order."""
+    out, ranks = (1 << g.n) - 1, []
+    for i, v in enumerate(order):
+        out &= ~(1 << v)
+        ranks.append(rank(g.adj[u] & out for u in order[:i + 1]))
+    return ranks
+
+
+def greedy_by_definition(g):
+    """The cut-rank order as its docstring defines it, one GF(2) rank
+    per candidate, with no cap."""
+    full, order, placed = (1 << g.n) - 1, [], 0
+    while len(order) < g.n:
+        rest = [v for v in range(g.n) if not placed >> v & 1]
+        frontier = [v for v in rest if any(g.adj[u] >> v & 1 for u in order)]
+        if frontier:
+            def key(v):
+                s = placed | 1 << v
+                return (rank(g.adj[u] & full & ~s for u in order + [v]),
+                        (g.adj[v] & full & ~s).bit_count(), v)
+            v = min(frontier, key=key)
+        else:
+            v = min(rest, key=lambda v: ((g.adj[v] & ~(1 << v)).bit_count(), v))
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+class TestCutRankOrder:
+    GRAPHS = [SimpleGraph(0), SimpleGraph(1), SimpleGraph(5), path(2), K3,
+              shuffled(cycle(9), 1), random_graph(12, 2),
+              random_graph(14, 3, loops=True),
+              SimpleGraph.from_edges(7, [(0, 1), (2, 2), (3, 4), (4, 5), (3, 5)])]
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=range(len(GRAPHS)))
+    def test_a_deterministic_permutation(self, g):
+        order = cut_rank_order(g.adj)
+        assert sorted(order) == list(range(g.n))
+        assert cut_rank_order(g.adj) == order
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_greedy_by_its_definition(self, seed):
+        rng = random.Random(seed)
+        n, p = rng.randint(0, 18), rng.choice([0.1, 0.2, 0.4, 0.7])
+        g = SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u, n)
+                                       if rng.random() < (p if u != v else 0.3)],
+                                   loops_allowed=True)
+        assert cut_rank_order(g.adj) == greedy_by_definition(g)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    def test_largest_cut_rank_on_paths_cycles_complete_and_edgeless(self, n):
+        # Labels shuffled, so that the order has to find the path's end.
+        for seed in range(3):
+            for g, most in ((shuffled(path(n), seed), 1), (complete(n), 1),
+                            (SimpleGraph(n), 0)):
+                assert max(cut_ranks(g, cut_rank_order(g.adj))) == most
+            if n > 3:
+                g = shuffled(cycle(n), seed)
+                assert max(cut_ranks(g, cut_rank_order(g.adj))) == 2
+
+    def test_components_take_runs_from_their_least_degree_vertex(self):
+        # The path 3-2-5 starts at its end of lower label, before the
+        # triangle on 0, 1 and 4, whose vertices have degree 2.
+        g = SimpleGraph.from_edges(6, [(0, 1), (1, 4), (0, 4), (2, 3), (2, 5)])
+        assert cut_rank_order(g.adj) == [3, 2, 5, 0, 1, 4]
+
+    def test_past_the_cap_the_rest_keep_their_labels(self, monkeypatch):
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", ENTRY_BYTES << 2)
+        assert _limits.max_cut_rank() == 2
+        g = random_graph(30, 4)
+        order = cut_rank_order(g.adj)
+        ranks = cut_ranks(g, order)
+        past = next(i for i, r in enumerate(ranks) if r > 2)
+        assert past < g.n - 2
+        assert order[past + 1:] == sorted(order[past + 1:])
+        assert sorted(order) == list(range(g.n))
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=range(len(GRAPHS)))
+    def test_relabeling_by_the_inverse_gives_the_rows_back(self, g):
+        order = cut_rank_order(g.adj)
+        inverse = sorted(range(g.n), key=order.__getitem__)
+        rows = relabel_rows(g.adj, order)
+        assert SimpleGraph(g.n, rows, g.loops_allowed).edge_count() == g.edge_count()
+        assert relabel_rows(rows, inverse) == g.adj
+
+    def test_relabeling_moves_loops_with_their_vertex(self):
+        g = SimpleGraph.from_edges(3, [(0, 0), (0, 1), (2, 2)])
+        assert relabel_rows(g.adj, [2, 1, 0]) == SimpleGraph.from_edges(
+            3, [(2, 2), (2, 1), (0, 0)]).adj
 
 
 class TestKeysAndText:

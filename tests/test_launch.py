@@ -30,12 +30,18 @@ def loaded_modules(argv):
 
 @pytest.mark.parametrize("argv, out, absent", [
     (["qn", P3_TEXT], "x^2 + 2*x\n", POOL | ROUTES | {"interlacepoly.gf2"}),
+    # The recursions order their input by cut-rank with GF(2) elimination
+    # of their own.
+    (["qn", P3_TEXT, "--method", "recursive"], "x^2 + 2*x\n",
+     POOL | ROUTES | {"interlacepoly.gf2"}),
+    (["q2", P3_TEXT, "--method", "reduction"],
+     "x^2*y + x^2 - 2*x*y - 2*x + y^2 + 2*y\n", POOL | ROUTES | {"interlacepoly.gf2"}),
     (["cpp", "2 4 0 1 1 1 1 0 0 0"], "x^3 + 2*x^2 + x\n",
      POOL | (ROUTES - {"interlacepoly.eulerian"})
      | {"interlacepoly.interlace", "interlacepoly.gf2"}),
     (["tm", P3_TEXT], "x^2 + 2*x\n",
      POOL | (ROUTES - {"interlacepoly.isotropic"})),
-], ids=["qn", "cpp", "tm"])
+], ids=["qn", "qn-recursive", "q2-reduction", "cpp", "tm"])
 def test_a_command_loads_only_what_it_runs(argv, out, absent):
     stdout, names = loaded_modules(argv)
     assert stdout == out
