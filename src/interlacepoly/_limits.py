@@ -21,7 +21,11 @@ MAX_INPUT_VERTICES bounds the O(n**2) validation of a graph and the
 rows a parse allocates; a vertex set is a Python int of any width.
 
 max_cut_rank derives from rule 2 the cut-rank at which the recursions'
-vertex order (graph.cut_rank_order) stops choosing.
+vertex order (graph.cut_rank_order) stops choosing; it also stops once
+it has scored ORDER_CANDIDATES_PER_VERTEX * n candidates, which bounds
+its time on a graph whose frontier is every vertex left, as K_n's is.
+A run scores at most n(n-1)/2, so no graph of at most 257 vertices
+reaches that bound.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 ENUMERATION_MAX_N = 24
 MEMO_BUDGET_BYTES = 512 << 20
 MAX_INPUT_VERTICES = 2048
+ORDER_CANDIDATES_PER_VERTEX = 128
 
 # An int takes a 28-byte header and 4 bytes per 30-bit digit, in 16-byte
 # blocks, but one below 2**8 is shared; a tuple 48 bytes and 8 per slot;

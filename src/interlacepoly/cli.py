@@ -37,64 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="interlacepoly",
-        description="Interlace, Tutte-Martin, and circuit partition polynomials.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name: str, help_: str, func, graph_input: bool = True):
-        p = sub.add_parser(name, help=help_, description=help_)
-        if graph_input:
-            p.add_argument("input", metavar="INPUT",
-                           help="file path, '-' for stdin, or inline text")
-        p.add_argument("--output", choices=("text", "json"), default="text",
-                       help="output format (default text)")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("qn", "single-variable interlace polynomial of a loopless graph",
-            _cmd_qn)
-    p.add_argument("--method", choices=QN_METHODS, default="closed",
-                   help="computation route (default closed)")
-
-    p = add("q2", "two-variable interlace polynomial (loops allowed)", _cmd_q2)
-    p.add_argument("--method", choices=("closed", "reduction"), default="closed",
-                   help="computation route (default closed)")
-
-    p = add("tm", "restricted Tutte-Martin polynomial of the graphic system",
-            _cmd_tm)
-    p.add_argument("--A", metavar="WORD", default=None,
-                   help="presentation vector, a word over {x,y,z} of length n "
-                        "(default all x)")
-    p.add_argument("--B", metavar="WORD", default=None,
-                   help="second presentation vector (default all y); the "
-                        "excluded vector is A+B")
-
-    add("cpp", "circuit partition polynomial of a 2-in-2-out digraph", _cmd_cpp)
-    add("martin", "Martin polynomial of a 2-in-2-out digraph", _cmd_martin)
-    add("circle", "circle graph of a digraph's Euler circuit, or of a "
-                  "chord-diagram word", _cmd_circle)
-
-    p = add("pivot", "pivot a graph on an edge", _cmd_pivot)
-    p.add_argument("v", type=int)
-    p.add_argument("w", type=int)
-
-    p = add("lc", "local complementation at a vertex", _cmd_lc)
-    p.add_argument("v", type=int)
-
-    p = sub.add_parser("verify", help="run the cross-method identity suite",
-                       description="Run the cross-method identity suite and "
-                                   "print one PASS/FAIL line per identity.")
-    p.add_argument("--max-n", dest="max_n", type=int, default=5,
-                   help="exhaustive-enumeration bound, 0..6 (default 5)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="seed for the randomized instances (default 7)")
-    p.set_defaults(func=_cmd_verify)
-
-    return parser
-
-
 def _read_input(token: str) -> str:
     if token == "-":
         return sys.stdin.read()
@@ -199,10 +141,80 @@ def _cmd_verify(args) -> int:
     return 0 if verify.run_verification(max_n=args.max_n, seed=args.seed) else 2
 
 
+# The arguments every command that reads a graph or a digraph takes.
+_INPUT = (("input", dict(metavar="INPUT",
+                         help="file path, '-' for stdin, or inline text")),
+          ("--output", dict(choices=("text", "json"), default="text",
+                            help="output format (default text)")))
+
+
+def _method(choices) -> tuple:
+    return ("--method", dict(choices=choices, default="closed",
+                             help="computation route (default closed)"))
+
+
+# name, help line, description (None: the help line), handler, arguments.
+_COMMANDS = (
+    ("qn", "single-variable interlace polynomial of a loopless graph", None,
+     _cmd_qn, _INPUT + (_method(QN_METHODS),)),
+    ("q2", "two-variable interlace polynomial (loops allowed)", None,
+     _cmd_q2, _INPUT + (_method(("closed", "reduction")),)),
+    ("tm", "restricted Tutte-Martin polynomial of the graphic system", None,
+     _cmd_tm, _INPUT + (
+         ("--A", dict(metavar="WORD", default=None,
+                      help="presentation vector, a word over {x,y,z} of "
+                           "length n (default all x)")),
+         ("--B", dict(metavar="WORD", default=None,
+                      help="second presentation vector (default all y); "
+                           "the excluded vector is A+B")))),
+    ("cpp", "circuit partition polynomial of a 2-in-2-out digraph", None,
+     _cmd_cpp, _INPUT),
+    ("martin", "Martin polynomial of a 2-in-2-out digraph", None,
+     _cmd_martin, _INPUT),
+    ("circle", "circle graph of a digraph's Euler circuit, or of a "
+               "chord-diagram word", None, _cmd_circle, _INPUT),
+    ("pivot", "pivot a graph on an edge", None, _cmd_pivot,
+     _INPUT + (("v", dict(type=int)), ("w", dict(type=int)))),
+    ("lc", "local complementation at a vertex", None, _cmd_lc,
+     _INPUT + (("v", dict(type=int)),)),
+    ("verify", "run the cross-method identity suite",
+     "Run the cross-method identity suite and print one PASS/FAIL line "
+     "per identity.", _cmd_verify, (
+         ("--max-n", dict(type=int, default=5,
+                          help="exhaustive-enumeration bound, 0..6 (default 5)")),
+         ("--seed", dict(type=int, default=7,
+                         help="seed for the randomized instances (default 7)")))),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given the command a call runs,
+    one whose other commands have their name and help line only: the
+    top-level help, the COMMAND choices and the usage errors are the
+    same, and a subparser that does not run needs no arguments or -h."""
+    parser = _Parser(
+        prog="interlacepoly",
+        description="Interlace, Tutte-Martin, and circuit partition polynomials.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, help_, description, func, arguments in _COMMANDS:
+        if command is not None and name != command:
+            sub.add_parser(name, help=help_, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_, description=description or help_)
+        for flag, opts in arguments:
+            p.add_argument(flag, **opts)
+        p.set_defaults(func=func)
+    return parser
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # The top-level parser has no option that takes a value, so the
+    # first token that is not an option names the command.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (CliInputError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -272,7 +272,12 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
             memo[v][key] = hist
         return hist
 
-    return unpack_fields(go(0), w, 2 * n + 1)
+    # go refers to itself, so the cycle collector, not the return,
+    # frees its closure; the memo is freed here.
+    try:
+        return unpack_fields(go(0), w, 2 * n + 1)
+    finally:
+        memo.clear()
 
 
 def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:

@@ -149,7 +149,12 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
         r = top[(prefix >> i) & 1]
         top = _take(r, top[2:])
         shift += w if r == 0 else 0
-    return unpack_fields(count(top) << shift, w, n + 1)
+    # count refers to itself, so the cycle collector, not the return,
+    # frees its closure; the memo is freed here.
+    try:
+        return unpack_fields(count(top) << shift, w, n + 1)
+    finally:
+        memo.clear()
 
 
 def _take(row: int, rows: List[int]) -> List[int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._limits import check_vertex_count, max_cut_rank
+from ._limits import ORDER_CANDIDATES_PER_VERTEX, check_vertex_count, max_cut_rank
 
 Rows = Tuple[int, ...]  # adjacency rows, one bitmask per vertex
 
@@ -375,7 +375,8 @@ def cut_rank_order(adj: Rows) -> List[int]:
     the frontier vertex (a neighbor of S outside S) that gives the least
     cut-rank, ties going to fewer neighbors outside S, then to the lower
     label.  With no frontier a new component starts at its least-degree
-    vertex.  Once the cut-rank passes _limits.max_cut_rank() the rest
+    vertex.  Once the cut-rank passes _limits.max_cut_rank(), or the
+    candidates scored pass ORDER_CANDIDATES_PER_VERTEX * n, the rest
     keep their label order.  Loops play no part.
 
     The cut space, spanned by the rows of S restricted to V - S, is kept
@@ -388,6 +389,7 @@ def cut_rank_order(adj: Rows) -> List[int]:
     reduction by the basis decides, O(cut-rank) per candidate."""
     n = len(adj)
     cap = max_cut_rank()
+    scores_left = ORDER_CANDIDATES_PER_VERTEX * n
     shift = n.bit_length()
     starts = iter(sorted(range(n), key=lambda v: ((adj[v] & ~(1 << v)).bit_count(), v)))
     order: List[int] = []
@@ -396,6 +398,7 @@ def cut_rank_order(adj: Rows) -> List[int]:
     basis: Dict[int, int] = {}
     while out:
         if frontier:
+            scores_left -= frontier.bit_count()
             now = len(basis)
             best = (n + 2) << shift
             m = frontier
@@ -447,7 +450,7 @@ def cut_rank_order(adj: Rows) -> List[int]:
                     if b & low:
                         basis[p] = b ^ y
                 basis[low] = y
-        if len(basis) > cap:
+        if len(basis) > cap or scores_left < 0:
             order.extend(v for v in range(n) if out >> v & 1)
             break
     return order

@@ -291,7 +291,12 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
             memo[key] = hist
         return hist
 
-    return unpack_fields(go(0, list(adj), []), w, w * w)
+    # go refers to itself, so the cycle collector, not the return,
+    # frees its closure; the memo is freed here.
+    try:
+        return unpack_fields(go(0, list(adj), []), w, w * w)
+    finally:
+        memo.clear()
 
 
 def _profile_entries(profile: List[int], n: int) -> Iterator[Tuple[int, int, int]]:

@@ -247,6 +247,50 @@ class TestParserContract:
         assert cli.main() == 0
         assert capsys.readouterr().out == "2*x\n"
 
+    P3 = "3 2 0 1 1 2"
+    ARGVS = ([["--help"], ["-h", "qn"]]
+             + [[name, "--help"] for name in ("qn", "q2", "tm", "cpp", "martin",
+                                              "circle", "pivot", "lc", "verify")]
+             + [[], ["nosuch"], ["qn"], ["qn", P3, "--method", "magic"],
+                ["qn", P3, "--output", "xml"], ["qn", P3, "--bogus"],
+                ["--foo", "qn", P3], ["--"], ["--", "qn", P3],
+                ["pivot", P3, "a", "1"], ["lc", P3, "x"], ["qn", P3]])
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exit:  # --help
+            code = exit.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_the_command_parser_acts_as_the_full_one(self, capsys, monkeypatch,
+                                                     argv):
+        got = self.outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == self.outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv, command", [
+        (["qn", "2 1 0 1"], "qn"), (["--foo", "lc", "2 1 0 1", "0"], "lc"),
+        (["--", "pivot", "2 1 0 1", "0", "1"], "pivot"), (["--help"], None),
+        ([], None)])
+    def test_each_call_builds_one_parser_for_its_command(self, capsys, monkeypatch,
+                                                         argv, command):
+        # run(None) reads sys.argv[1:], as the console script's main() does.
+        monkeypatch.setattr(sys, "argv", ["interlacepoly"] + argv)
+        calls = []
+        full = cli.build_parser
+
+        def build(name=None):
+            calls.append(name)
+            return full(name)
+        monkeypatch.setattr(cli, "build_parser", build)
+        self.outcome(capsys, None)
+        assert calls == [command]
+
     @pytest.mark.parametrize("exc", [BrokenProcessPool("a worker died"),
                                      KeyboardInterrupt()],
                              ids=["worker-crash", "interrupt"])

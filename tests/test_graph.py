@@ -316,6 +316,19 @@ class TestCutRankOrder:
         assert order[past + 1:] == sorted(order[past + 1:])
         assert sorted(order) == list(range(g.n))
 
+    @pytest.mark.parametrize("parts", [2048, 20], ids=["K2048", "20-partite"])
+    def test_past_the_candidate_bound_the_rest_keep_their_labels(self, parts):
+        # Every vertex left is on the frontier, so each step scores them
+        # all; the bound cuts the n**2/2 candidates to
+        # ORDER_CANDIDATES_PER_VERTEX * n.
+        n = MAX_INPUT_VERTICES
+        full = (1 << n) - 1
+        part = [sum(1 << u for u in range(p, n, parts)) for p in range(parts)]
+        order = cut_rank_order(tuple(full & ~part[v % parts] for v in range(n)))
+        assert sorted(order) == list(range(n))
+        rest = order[2 * _limits.ORDER_CANDIDATES_PER_VERTEX:]
+        assert rest == sorted(rest)
+
     @pytest.mark.parametrize("g", GRAPHS, ids=range(len(GRAPHS)))
     def test_relabeling_by_the_inverse_gives_the_rows_back(self, g):
         order = cut_rank_order(g.adj)
