@@ -9,8 +9,9 @@ to 2**(n - levels) nodes.
 Rule 2, the memo budget: the memo of one call of recursive, bouchet,
 reduction (and so martin), cpp, or of the choice walk behind avdh,
 isotropic and tm (gf2.choice_ranks) holds at most MEMO_BUDGET_BYTES,
-read at call time, per process under the pool.  A store is charged an
-upper bound on the bytes it adds, in O(1); a hit costs nothing.  In
+read at call time, per process under the pool: each is one Memo, a
+table per level and one count of the bytes left.  A store is charged
+an upper bound on the bytes it adds, in O(1); a hit costs nothing.  In
 the recursions and cpp a node that misses stores once and makes at
 most three child calls besides its components, so the budget bounds
 time too; the choice walk's time is bounded by rule 1.  The closed
@@ -69,22 +70,18 @@ def max_cut_rank() -> int:
     return (MEMO_BUDGET_BYTES // ENTRY_BYTES).bit_length() - 1
 
 
-def budget_spent() -> ValueError:
-    return ValueError(f"the memo budget of {MEMO_BUDGET_BYTES} bytes per process is spent")
-
-
-class Memo(dict):
-    """A recursion's memo on adjacency rows, charged against rule 2."""
+class Memo(list):
+    """A charged memo (rule 2): one table per level, lookups inline as
+    memo[level].get(key), and one count of the bytes left."""
 
     __slots__ = ("left",)
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, levels: int) -> None:
+        super().__init__({} for _ in range(levels))
         self.left = MEMO_BUDGET_BYTES
 
-    def store(self, rows: tuple, value: int) -> None:
-        # The rows of a graph on len(rows) vertices have that many bits.
-        self.left -= store_bytes(len(rows), len(rows), value.bit_length())
+    def store(self, level: int, key: object, value: int, nbytes: int) -> None:
+        self.left -= nbytes
         if self.left < 0:
-            raise budget_spent()
-        self[rows] = value
+            raise ValueError(f"the memo budget of {MEMO_BUDGET_BYTES} bytes per process is spent")
+        self[level][key] = value

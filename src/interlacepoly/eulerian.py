@@ -27,8 +27,7 @@ from operator import itemgetter
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from . import _limits
-from ._limits import budget_spent, check_enumeration, check_vertex_count, store_bytes
+from ._limits import Memo, check_enumeration, check_vertex_count, store_bytes
 from ._workers import sum_histograms
 from .graph import SimpleGraph, _header_and_pairs
 from .poly import UniPoly, unpack_fields
@@ -217,8 +216,7 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
         ends = [e for e in range(2 * n) if tail[e] < v <= head[e]]
         frontier.append(itemgetter(*ends) if ends else lambda first: ())
         charge.append(store_bytes(len(ends), (2 * n - 1).bit_length(), w * (2 * (n - v) + 1)))
-    memo: List[Dict[object, int]] = [{} for _ in range(n)]
-    left = _limits.MEMO_BUDGET_BYTES
+    memo = Memo(n)
     first = list(range(2 * n))
     last = list(range(2 * n))
     final = n - 1
@@ -227,7 +225,6 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
 
     # The first k levels take only the choice the prefix names.
     def go(v: int) -> int:
-        nonlocal left
         a0, a1 = ins[v]
         b = outs[v]
         if v == final:
@@ -266,10 +263,7 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
                 last[s0] = a0
                 first[t0] = b0
         if v >= k:
-            left -= charge[v]
-            if left < 0:
-                raise budget_spent()
-            memo[v][key] = hist
+            memo.store(v, key, hist, charge[v])
         return hist
 
     # go refers to itself, so the cycle collector, not the return,

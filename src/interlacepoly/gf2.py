@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from . import _limits
-from ._limits import budget_spent, store_bytes
+from ._limits import Memo, store_bytes
 from .poly import unpack_fields
 
 # The choice walk memoizes the levels with at most this many pairs left
@@ -103,16 +102,14 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     memo_rows = 2 * MEMO_LEVELS
     width = max(top, default=0).bit_length()
     charge = [store_bytes(m, width, w * (m // 2 + 1)) for m in range(memo_rows + 1)]
-    memo: Dict[Tuple[int, ...], int] = {}
-    left = _limits.MEMO_BUDGET_BYTES
+    memo = Memo(memo_rows + 1)
 
     def count(rows: List[int]) -> int:
-        nonlocal left
         m = len(rows)
         if m > 4:
             if m <= memo_rows:
                 key = tuple(rows)
-                hist = memo.get(key)
+                hist = memo[m].get(key)
                 if hist is not None:
                     return hist
             rest = rows[2:]
@@ -125,10 +122,7 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
                 else:
                     hist += count(rest) << w
             if m <= memo_rows:
-                left -= charge[m]
-                if left < 0:
-                    raise budget_spent()
-                memo[key] = hist
+                memo.store(m, key, hist, charge[m])
             return hist
         if m == 4:
             a, b = rows[2], rows[3]

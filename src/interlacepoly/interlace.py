@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from ._limits import Memo, check_enumeration
+from ._limits import Memo, check_enumeration, store_bytes
 from ._workers import sum_histograms
 from .graph import (Rows, SimpleGraph, component_masks, cut_rank_order,
                     relabel_rows, restrict_rows)
@@ -85,18 +85,19 @@ def qn_recursive(g: SimpleGraph) -> UniPoly:
     product of components is *."""
     _require_loopless(g)
     w = g.n + 1
-    return UniPoly(unpack_fields(_qn_recursive_rec(_relabeled(g), w, Memo()), w, w))
+    return UniPoly(unpack_fields(_qn_recursive_rec(_relabeled(g), w, Memo(w)), w, w))
 
 
 def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
     adj = g.adj
-    hit = memo.get(adj)
+    size = len(adj)
+    hit = memo[size].get(adj)
     if hit is not None:
         return hit
     masks = component_masks(adj)
     if len(masks) > 1:
         packed = _component_product(g, masks, w, memo, _qn_recursive_rec, 1 << w)
-    elif len(adj) > 1:
+    elif size > 1:
         # Connected, so vertex 0 has a neighbor; its least neighbor v
         # makes (0, v) the lex-least edge.
         row = adj[0]
@@ -104,8 +105,8 @@ def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
         packed = (_qn_recursive_rec(g.delete_vertex(0), w, memo)
                   + _qn_recursive_rec(g._pivot_unchecked(0, v).delete_vertex(v), w, memo))
     else:
-        packed = 1 << w * len(adj)
-    memo.store(adj, packed)
+        packed = 1 << w * size
+    memo.store(size, adj, packed, store_bytes(size, size, packed.bit_length()))
     return packed
 
 
@@ -115,18 +116,22 @@ def _component_product(g: SimpleGraph, masks: List[int], w: int, memo: Memo,
     """The product over the components of g, given as vertex masks, of
     rec on each, looked up in the memo first; a lone loopless vertex is
     the factor `lone` instead.  A component's highest vertex has a zero
-    row iff it is such a vertex."""
+    row iff it is such a vertex.  Two factors at a time from the front,
+    the product to the back: one factor at a time into a running product
+    is quadratic in its size."""
     adj = g.adj
     parts = [m for m in masks if adj[m.bit_length() - 1]]
-    packed = lone ** (len(masks) - len(parts))
+    factors = [lone ** (len(masks) - len(parts))]
     for m in parts:
         rows = restrict_rows(adj, m)
-        part = memo.get(rows)
+        part = memo[len(rows)].get(rows)
         if part is None:
-            part = rec(SimpleGraph(m.bit_count(), rows, g.loops_allowed, _valid=True),
+            part = rec(SimpleGraph(len(rows), rows, g.loops_allowed, _valid=True),
                        w, memo)
-        packed *= part
-    return packed
+        factors.append(part)
+    while len(factors) > 1:
+        factors.append(factors.pop(0) * factors.pop(0))
+    return factors[0]
 
 
 # -- closed subset sum --------------------------------------------------
@@ -354,7 +359,7 @@ def qn_bouchet(g: SimpleGraph) -> UniPoly:
     _require_loopless(g)
     w = g.n + 1
     g = _relabeled(g)
-    packed = _component_product(g, component_masks(g.adj), w, Memo(),
+    packed = _component_product(g, component_masks(g.adj), w, Memo(w),
                                 _qn_bouchet_rec, 1 << w)
     return UniPoly(unpack_fields(packed, w, w))
 
@@ -363,7 +368,8 @@ def _qn_bouchet_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
     adj = g.adj
     if not adj:
         return 1
-    hit = memo.get(adj)
+    size = len(adj)
+    hit = memo[size].get(adj)
     if hit is not None:
         return hit
     row = adj[0]
@@ -374,7 +380,7 @@ def _qn_bouchet_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
         flipped = g.local_complement(0).local_complement(v).local_complement(0)
         packed = (_qn_bouchet_rec(g.delete_vertex(0), w, memo)
                   + _qn_bouchet_rec(flipped.delete_vertex(0), w, memo))
-    memo.store(adj, packed)
+    memo.store(size, adj, packed, store_bytes(size, size, packed.bit_length()))
     return packed
 
 
@@ -436,13 +442,14 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     q2_closed's."""
     n = g.n
     w = n + 1
-    packed = _q2_reduction_rec(_relabeled(g), w, Memo())
+    packed = _q2_reduction_rec(_relabeled(g), w, Memo(w))
     return _bipoly_from_rank_counts(unpack_fields(packed, w, w * w), n)
 
 
 def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
     adj = g.adj
-    hit = memo.get(adj)
+    size = len(adj)
+    hit = memo[size].get(adj)
     if hit is not None:
         return hit
     masks = component_masks(adj)
@@ -463,8 +470,8 @@ def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
                       + (_q2_reduction_rec(g.local_complement(a).delete_vertex(a),
                                            w, memo) << w * (w + 1)))  # + C*u
     else:
-        packed = ((1 << w) + 1) ** len(adj)
-    memo.store(adj, packed)
+        packed = ((1 << w) + 1) ** size
+    memo.store(size, adj, packed, store_bytes(size, size, packed.bit_length()))
     return packed
 
 

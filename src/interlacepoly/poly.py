@@ -258,7 +258,13 @@ def unpack_fields(packed: int, width: int, count: int) -> List[int]:
     The recursions and the state walk carry a histogram or a polynomial
     as one int, entry i in bits [i * width, (i + 1) * width), so that a
     sum, a shift or a product is one big-int operation (Kronecker
-    substitution); this reads the entries back.
+    substitution); this reads the entries back, halving the int at a
+    field boundary first, since a shift per field costs O(count * size).
     """
+    if count > 8 and width * count > 2048:
+        half = count // 2
+        bits = width * half
+        return (unpack_fields(packed & ((1 << bits) - 1), width, half)
+                + unpack_fields(packed >> bits, width, count - half))
     mask = (1 << width) - 1
     return [(packed >> (width * i)) & mask for i in range(count)]

@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 from interlacepoly import _limits, cli, eulerian, interlace, isotropic, verify
+from interlacepoly.graph import SimpleGraph
 
 P3_TEXT = "3 2\n0 1\n1 2\n"
 TWO_LOOP_TEXT = "1 2\n0 0\n0 0\n"
@@ -58,6 +59,16 @@ class TestQn:
                    for m in ("recursive", "closed", "bouchet", "avdh",
                              "isotropic")}
         assert outputs == {"x^2 + 2*x\n"}
+
+    @pytest.mark.parametrize("method", ["recursive", "bouchet"])
+    def test_a_matching_on_2048_vertices(self, capsys, tmp_path, method):
+        # 1,024 components of one edge, qn(K2) = 2*x each, whose product
+        # the recursions multiply pairwise.
+        f = tmp_path / "m2048.txt"
+        f.write_text(SimpleGraph.from_edges(
+            2048, [(v, v + 1) for v in range(0, 2048, 2)]).to_text())
+        out = run_ok(capsys, ["qn", str(f), "--method", method])
+        assert out == f"{2 ** 1024}*x^1024\n"
 
     def test_json_output(self, capsys, p3_file):
         out = run_ok(capsys, ["qn", p3_file, "--output", "json"])

@@ -1,0 +1,40 @@
+"""The memo budget's charge, pinned per route: what one call of each
+charged memo stores, to the byte, so that a change to a memo's keys,
+its per-level prices or the levels it memoizes shows here."""
+
+import random
+
+import pytest
+
+from interlacepoly import _limits
+from interlacepoly.eulerian import (circuit_partition_poly, martin_poly,
+                                    random_eulerian_digraph)
+from interlacepoly.interlace import (q2_reduction, qn_avdh, qn_bouchet,
+                                     qn_recursive)
+from interlacepoly.isotropic import tutte_martin_canonical
+from interlacepoly.verify import random_graph_with_loops, random_simple_graph
+
+SIMPLE_12 = random_simple_graph(12, random.Random(1))
+LOOPED_10 = random_graph_with_loops(10, random.Random(1))
+SIMPLE_14 = random_simple_graph(14, random.Random(1))
+DIGRAPH_16 = random_eulerian_digraph(16, 1)
+
+
+class TestMemoCharge:
+    @pytest.mark.parametrize("route,arg,charged", [
+        (qn_recursive, SIMPLE_12, 52_911),
+        (qn_bouchet, SIMPLE_12, 48_169),
+        (q2_reduction, LOOPED_10, 46_984),
+        (qn_avdh, SIMPLE_14, 1_210_778),
+        (tutte_martin_canonical, SIMPLE_14, 548_694),
+        (circuit_partition_poly, DIGRAPH_16, 272_098),
+        (martin_poly, DIGRAPH_16, 35_741),
+    ], ids=["recursive", "bouchet", "reduction", "avdh", "tm", "cpp", "martin"])
+    def test_a_call_charges_its_exact_total(self, monkeypatch, pin_cpus,
+                                            route, arg, charged):
+        pin_cpus(1)
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", charged)
+        route(arg)
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", charged - 1)
+        with pytest.raises(ValueError, match="memo budget"):
+            route(arg)

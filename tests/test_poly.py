@@ -190,6 +190,16 @@ class TestPackedFields:
             packed = sum(f << width * i for i, f in enumerate(fields))
             assert unpack_fields(packed, width, len(fields)) == fields
 
+    @pytest.mark.parametrize("width", [1, 7, 64, 301])
+    def test_thousands_of_fields_match_the_per_field_definition(self, width):
+        rng = random.Random(width)
+        full = (1 << width) - 1
+        fields = [rng.choice((0, full, rng.randrange(1 << width))) for _ in range(3001)]
+        packed = sum(f << width * i for i, f in enumerate(fields))
+        for count in (3001, 2000, 1):
+            want = [(packed >> width * i) & full for i in range(count)]
+            assert unpack_fields(packed, width, count) == want == fields[:count]
+
     def test_zero_fields_are_kept(self):
         assert unpack_fields(0, 3, 4) == [0, 0, 0, 0]
         assert unpack_fields(1 << 64, 64, 3) == [0, 1, 0]
