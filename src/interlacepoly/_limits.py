@@ -18,6 +18,14 @@ time too; the choice walk's time is bounded by rule 1.  The closed
 walk's memo is bounded by proof (interlace._rank_profile) and not
 charged.
 
+Rule 3, the profile bound: the reduction behind q2 carries its rank
+profile as one int, whose final value has (n + 1)**3 bits whatever the
+graph, and multiplies profiles of that size, which no memo holds; it
+runs for (n + 1)**3 <= PROFILE_MAX_BITS, checked before it starts.  On
+n/2 disjoint looped edges one call took 0.30-0.42 microseconds per bit
+of that profile at n = 300-400 (10-27 s), so one at the bound takes
+about 13 s, as long as a recursion that spends the memo budget.
+
 MAX_INPUT_VERTICES bounds the O(n**2) validation of a graph and the
 rows a parse allocates; a vertex set is a Python int of any width.
 
@@ -34,6 +42,7 @@ from __future__ import annotations
 ENUMERATION_MAX_N = 24
 MEMO_BUDGET_BYTES = 512 << 20
 MAX_INPUT_VERTICES = 2048
+PROFILE_MAX_BITS = 1 << 25
 ORDER_CANDIDATES_PER_VERTEX = 128
 
 # An int takes a 28-byte header and 4 bytes per 30-bit digit, in 16-byte
@@ -53,6 +62,13 @@ def check_enumeration(n: int) -> None:
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"the enumeration bound of a walk over all 2**n "
                          f"cases is n <= {ENUMERATION_MAX_N}, got n = {n}")
+
+
+def check_profile_bits(n: int) -> None:
+    bits = (n + 1) ** 3
+    if bits > PROFILE_MAX_BITS:
+        raise ValueError(f"the profile bound of the q2 reduction is (n+1)**3 <= "
+                         f"{PROFILE_MAX_BITS} bits, got n = {n} ({bits} bits)")
 
 
 def store_bytes(key_len: int, key_bits: int, value_bits: int) -> int:

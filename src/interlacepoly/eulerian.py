@@ -23,6 +23,7 @@ martin_poly takes the interlace polynomial of the circle graph instead.
 from __future__ import annotations
 
 import random
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -200,6 +201,10 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     one big-int operation each.  A store at level v is charged the memo
     budget's price (see _limits) of the level's key and 2 * (n - v) + 1
     fields.
+
+    The memo's size follows the number of open ends at each level, which
+    the labels set: circuit_partition_poly relabels its input by
+    _narrow_order first, so the walk's label order keeps few ends open.
     """
     n = len(ins)
     tail = [0] * (2 * n)
@@ -280,14 +285,64 @@ def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
 
     One depth-first walk over the states counts their cycles
     (_component_histogram), memoized on the strand starts of the edges
-    open at each level; enumerate_states, which traces each state on its
-    own, is its reference.  Under the pool (see _workers.sum_histograms)
-    each process walks the states of one prefix with a memo of its
-    own."""
+    open at each level.  f does not depend on the labels, but the number
+    of open edges does, so the digraph is relabeled once, on entry, by a
+    greedy narrow order (see _narrow_order).  enumerate_states, which
+    traces each state on its own in label order, is its reference.
+    Under the pool (see _workers.sum_histograms) each process walks the
+    states of one prefix of the new order with a memo of its own."""
     if not d.edges:
         return UniPoly((1,))
     _require_valid(d)
-    return UniPoly(sum_histograms(_component_histogram, _incidence(d), d.n))
+    # The edges keep their indices, so relabeling permutes the vertices'
+    # in- and out-edge lists.
+    ins, outs = _incidence(d)
+    order = _narrow_order(d)
+    return UniPoly(sum_histograms(_component_histogram,
+                                  (tuple(ins[v] for v in order),
+                                   tuple(outs[v] for v in order)), d.n))
+
+
+def _narrow_order(d: EulerianDigraph) -> List[int]:
+    """A vertex order that keeps few edges open between the placed
+    vertices and the rest, grown greedily: each step places the vertex
+    whose placing changes the open edges least, by
+    4 - 2 * loops - 2 * (edges to placed vertices), ties going to more
+    edges to placed vertices, then to the lower label.
+
+    A vertex's score is one int, (change + 4) * 8 + 4 - p for its change
+    and its p edges to placed vertices, above its label, so the least
+    score is the pick: 68 at the start, less 16 for a loop and 17 for
+    each edge to a placed vertex.  It falls at most four times, each a
+    new heap entry, and an entry that no longer equals its vertex's score
+    is skipped, so the order takes O((n + m) log n)."""
+    n = d.n
+    shift = n.bit_length()
+    others: List[List[int]] = [[] for _ in range(n)]
+    score = [68 << shift | v for v in range(n)]
+    for t, h in d.edges:
+        if t == h:
+            score[t] -= 16 << shift
+        else:
+            others[t].append(h)
+            others[h].append(t)
+    heap = score[:]
+    heapify(heap)
+    label = (1 << shift) - 1
+    step = 17 << shift
+    order = []
+    while heap:
+        s = heappop(heap)
+        v = s & label
+        if s != score[v]:
+            continue
+        score[v] = -1  # placed
+        order.append(v)
+        for u in others[v]:
+            if score[u] >= 0:
+                score[u] -= step
+                heappush(heap, score[u])
+    return order
 
 
 def martin_poly(d: EulerianDigraph) -> UniPoly:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from ._limits import Memo, check_enumeration, store_bytes
+from ._limits import Memo, check_enumeration, check_profile_bits, store_bytes
 from ._workers import sum_histograms
 from .graph import (Rows, SimpleGraph, component_masks, cut_rank_order,
                     relabel_rows, restrict_rows)
@@ -439,8 +439,10 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     loopless vertex a factor 1 + v.  The term -C borrows across fields,
     but every stored value is a profile of at most 2**n subsets, whose
     counts fit their fields.  The final profile is expanded like
-    q2_closed's."""
+    q2_closed's; its (n + 1)**3 bits are held to the profile bound (see
+    _limits) before the reduction starts."""
     n = g.n
+    check_profile_bits(n)
     w = n + 1
     packed = _q2_reduction_rec(_relabeled(g), w, Memo(w))
     return _bipoly_from_rank_counts(unpack_fields(packed, w, w * w), n)

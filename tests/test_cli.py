@@ -399,6 +399,16 @@ class TestResourceRules:
         err = run_err(capsys, self.argv(command, method, text))
         assert err.count("\n") == 1 and "memo budget" in err
 
+    def test_profile_bound(self, capsys):
+        # 1,024 disjoint looped edges: the reduction's final profile
+        # would be 2049**3 bits, about 1.1 GB.
+        n = 2048
+        text = SimpleGraph.from_edges(
+            n, [(v, v) for v in range(0, n, 2)] + [(v, v + 1) for v in range(0, n, 2)],
+            loops_allowed=True).to_text()
+        err = run_err(capsys, ["q2", text, "--method", "reduction"])
+        assert err.count("\n") == 1 and "profile bound" in err
+
     POOLED = [("cpp", None), ("tm", None), ("qn", "avdh")]
 
     @pytest.mark.parametrize("command, method", POOLED,

@@ -9,6 +9,7 @@ import pytest
 from interlacepoly import _limits, eulerian
 from interlacepoly.eulerian import (ChordDiagram, EulerianDigraph, GraphState,
                                     _component_histogram, _incidence,
+                                    _narrow_order,
                                     chord_diagram_from_circuit, circle_graph,
                                     circuit_partition_poly,
                                     enumerate_euler_circuits, enumerate_states,
@@ -160,6 +161,32 @@ class TestCircuitPartition:
         pooled = circuit_partition_poly(d)
         pin_cpus(1)
         assert circuit_partition_poly(d) == pooled
+
+
+class TestNarrowOrder:
+    def test_a_looped_vertex_goes_first_then_the_lower_label(self):
+        # Placing 2 opens two edges, 0 or 1 four; then 0 and 1 each have
+        # one edge to 2.
+        d = EulerianDigraph(3, [(2, 2), (2, 0), (0, 1), (0, 1), (1, 2), (1, 0)])
+        assert _narrow_order(d) == [2, 0, 1]
+
+    def test_ties_go_to_more_edges_to_placed_vertices(self):
+        # Once 0 is placed, 1 (a loop) and 2 (an edge to 0) would each
+        # open two edges; 2 closes one, so it goes first.
+        d = EulerianDigraph(4, [(0, 0), (1, 1), (0, 2), (2, 1), (1, 3), (3, 0),
+                                (2, 3), (3, 2)])
+        assert _narrow_order(d) == [0, 2, 3, 1]
+
+    def test_matches_martin_at_32_vertices(self):
+        # In label order the walk spent the memo budget on this digraph.
+        d = random_eulerian_digraph(32, 2)
+        assert (circuit_partition_poly(d)
+                == UniPoly.variable() * martin_poly(d).substitute(1))
+
+    def test_finishes_where_martin_spends_the_budget(self):
+        # The circle graph of this digraph's Euler circuit is past what
+        # martin's recursion holds in its memo budget.
+        assert circuit_partition_poly(random_eulerian_digraph(32, 3)).evaluate(1) == 2 ** 32
 
 
 class TestMartin:

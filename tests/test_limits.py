@@ -1,6 +1,7 @@
 """The memo budget's charge, pinned per route: what one call of each
 charged memo stores, to the byte, so that a change to a memo's keys,
-its per-level prices or the levels it memoizes shows here."""
+its per-level prices or the levels it memoizes shows here; and the
+profile bound of the q2 reduction at its edge."""
 
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from interlacepoly import _limits
 from interlacepoly.eulerian import (circuit_partition_poly, martin_poly,
                                     random_eulerian_digraph)
+from interlacepoly.graph import SimpleGraph
 from interlacepoly.interlace import (q2_reduction, qn_avdh, qn_bouchet,
                                      qn_recursive)
 from interlacepoly.isotropic import tutte_martin_canonical
@@ -27,7 +29,7 @@ class TestMemoCharge:
         (q2_reduction, LOOPED_10, 46_984),
         (qn_avdh, SIMPLE_14, 1_210_778),
         (tutte_martin_canonical, SIMPLE_14, 548_694),
-        (circuit_partition_poly, DIGRAPH_16, 272_098),
+        (circuit_partition_poly, DIGRAPH_16, 28_588),
         (martin_poly, DIGRAPH_16, 35_741),
     ], ids=["recursive", "bouchet", "reduction", "avdh", "tm", "cpp", "martin"])
     def test_a_call_charges_its_exact_total(self, monkeypatch, pin_cpus,
@@ -38,3 +40,17 @@ class TestMemoCharge:
         monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", charged - 1)
         with pytest.raises(ValueError, match="memo budget"):
             route(arg)
+
+
+class TestProfileBound:
+    def test_the_reduction_runs_up_to_the_bound(self, monkeypatch):
+        monkeypatch.setattr(_limits, "PROFILE_MAX_BITS", 4 ** 3)
+        path = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+        assert q2_reduction(path).eval_at(2) == qn_recursive(path).with_var("y")
+        with pytest.raises(ValueError, match="profile bound"):
+            q2_reduction(SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+
+    def test_the_bound_admits_every_vertex_count_up_to_321(self):
+        _limits.check_profile_bits(321)
+        with pytest.raises(ValueError, match="profile bound"):
+            _limits.check_profile_bits(322)

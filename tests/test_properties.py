@@ -519,6 +519,23 @@ class TestStateWalk:
         h = EulerianDigraph(d.n, [d.edges[e] for e in order])
         assert circuit_partition_poly(h) == circuit_partition_poly(d)
 
+    @PROPERTY
+    @given(walk_digraphs(max_n=8).flatmap(lambda d: st.tuples(
+        st.just(d), st.permutations(range(d.n)))))
+    @example((TWO_LOOPS, [0]))
+    @example((DOUBLED_2CYCLE, [1, 0]))
+    @example((EulerianDigraph(3, [(2, 2), (2, 0), (0, 1), (0, 1), (1, 2), (1, 0)]),
+              [1, 2, 0]))
+    def test_vertex_relabeling_invariance(self, dp):
+        # The walk runs in its own vertex order, which the labels decide
+        # only through ties; the states are traced in label order.
+        d, perm = dp
+        h = EulerianDigraph(d.n, [(perm[t], perm[u]) for t, u in d.edges])
+        hist = [0] * (len(d.edges) + 1)
+        for _, cycles in enumerate_states(d):
+            hist[cycles] += 1
+        assert circuit_partition_poly(h) == UniPoly(hist)
+
 
 class TestMartinBridge:
     @PROPERTY
