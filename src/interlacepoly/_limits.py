@@ -26,8 +26,9 @@ n/2 disjoint looped edges one call took 0.30-0.42 microseconds per bit
 of that profile at n = 300-400 (10-27 s), so one at the bound takes
 about 13 s, as long as a recursion that spends the memo budget.
 
-MAX_INPUT_VERTICES bounds the O(n**2) validation of a graph and the
-rows a parse allocates; a vertex set is a Python int of any width.
+MAX_INPUT_VERTICES bounds the n rows of n bits a graph holds, which its
+check (O(n + m) row operations) and every move work on; a vertex set
+is a Python int of any width.
 
 max_cut_rank derives from rule 2 the cut-rank at which the recursions'
 vertex order (graph.cut_rank_order) stops choosing; it also stops once

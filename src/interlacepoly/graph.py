@@ -7,9 +7,10 @@ returns a fresh instance.
 
 Each move is written once, on bare rows (the *_rows functions below);
 the SimpleGraph methods validate their arguments and delegate to them.
-A graph built from outside data is checked when it is constructed; a
-graph a move derives from a valid graph is valid by construction and is
-not checked again.
+An edge list becomes rows in one place, SimpleGraph.from_edges, which
+parse_graph also uses; rows given from outside are checked, in
+O(n + m) row operations, when the graph is constructed.  A graph that
+from_edges or a move builds is valid by construction and not checked.
 """
 
 from __future__ import annotations
@@ -26,36 +27,43 @@ class SimpleGraph:
 
     def __init__(self, n: int, adj: Sequence[int] | None = None,
                  loops_allowed: bool = False, *, _valid: bool = False):
-        # _valid is for the moves below: their rows come from a valid
-        # graph, so the O(n^2) checks would only repeat what holds.
-        if _valid:
-            self.n = n
-            self.adj = adj
-            self.loops_allowed = loops_allowed
-            return
-        check_vertex_count(n)
-        adj = list(adj) if adj is not None else [0] * n
-        if len(adj) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
-        mask = (1 << n) - 1
-        for v, row in enumerate(adj):
-            if row < 0 or row & ~mask:
-                raise ValueError(f"row {v} has bits outside 0..{n - 1}")
-        for v in range(n):
-            for w in range(v + 1, n):
-                if ((adj[v] >> w) & 1) != ((adj[w] >> v) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({v}, {w})")
-        if not loops_allowed:
+        # _valid is for from_edges and the moves below: their rows are
+        # symmetric by construction, so the checks would repeat what holds.
+        if not _valid:
+            check_vertex_count(n)
+            adj = tuple(adj) if adj is not None else (0,) * n
+            if len(adj) != n:
+                raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+            cols = [0] * n  # the transposed rows, built by walking set bits
+            for v, row in enumerate(adj):
+                if row < 0 or row >> n:
+                    raise ValueError(f"row {v} has bits outside 0..{n - 1}")
+                bit = 1 << v
+                while row:
+                    low = row & -row
+                    row ^= low
+                    cols[low.bit_length() - 1] |= bit
             for v in range(n):
-                if (adj[v] >> v) & 1:
-                    raise ValueError(f"loop at vertex {v} but loops are not allowed")
+                # Bit w of diff marks an asymmetric pair vw; as the marks
+                # are symmetric, at the first v with any, all lie above v.
+                diff = adj[v] ^ cols[v]
+                if diff:
+                    w = (diff & -diff).bit_length() - 1
+                    raise ValueError(f"adjacency not symmetric at ({v}, {w})")
+            if not loops_allowed:
+                for v in range(n):
+                    if (adj[v] >> v) & 1:
+                        raise ValueError(f"loop at vertex {v} but loops are not allowed")
         self.n = n
-        self.adj = tuple(adj)
+        self.adj = adj
         self.loops_allowed = loops_allowed
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]],
                    loops_allowed: bool = False) -> "SimpleGraph":
+        """The graph on 0..n-1 with the given edges (u, v), each in range;
+        (u, u) is a loop, and a loop edge sets loops_allowed.  The rows it
+        builds are symmetric by construction, so they are not checked."""
         check_vertex_count(n)
         adj = [0] * n
         loops = False
@@ -65,7 +73,7 @@ class SimpleGraph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             loops = loops or u == v
-        return cls(n, adj, loops_allowed or loops)
+        return cls(n, tuple(adj), loops_allowed or loops, _valid=True)
 
     # -- basic accessors ------------------------------------------------
 
@@ -231,11 +239,8 @@ def parse_graph(text: str) -> SimpleGraph:
     Raises:
         ValueError: on any malformed input.
     """
-    tokens = _header_and_pairs(text, "graph")
-    (n, m), pairs = tokens
+    (n, _), pairs = _header_and_pairs(text, "graph")
     check_vertex_count(n)
-    adj = [0] * n
-    loops = False
     seen = set()
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
@@ -244,23 +249,22 @@ def parse_graph(text: str) -> SimpleGraph:
         if key in seen:
             raise ValueError(f"duplicate edge ({u}, {v})")
         seen.add(key)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        loops = loops or u == v
-    return SimpleGraph(n, adj, loops_allowed=loops)
+    return SimpleGraph.from_edges(n, pairs)
 
 
 def _header_and_pairs(text: str, what: str) -> Tuple[Tuple[int, int], List[Tuple[int, int]]]:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError(f"empty {what} input")
-    if len(lines) == 1 and len(lines[0].split()) > 2:
-        # inline literal: one whitespace-separated token stream
-        toks = lines[0].split()
+    fields = [ln.split() for ln in lines]
+    if len(fields) == 1 and len(fields[0]) > 2:
+        # inline literal: one whitespace-separated token stream, in pairs
+        toks = fields[0]
         if len(toks) % 2:
             raise ValueError(f"{what} literal needs an even token count, got {len(toks)}")
-        lines = [" ".join(toks[i:i + 2]) for i in range(0, len(toks), 2)]
-    head = lines[0].split()
+        fields = [toks[i:i + 2] for i in range(0, len(toks), 2)]
+        lines = [" ".join(pair) for pair in fields]
+    head = fields[0]
     if len(head) != 2:
         raise ValueError(f"{what} header must be 'n m', got {lines[0]!r}")
     try:
@@ -269,17 +273,15 @@ def _header_and_pairs(text: str, what: str) -> Tuple[Tuple[int, int], List[Tuple
         raise ValueError(f"{what} header must be 'n m', got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise ValueError(f"{what} header values must be nonnegative")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
+    if len(fields) - 1 != m:
+        raise ValueError(f"expected {m} edge lines, got {len(fields) - 1}")
     pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}")
+    for i in range(1, len(fields)):
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            u, v = fields[i]
+            pairs.append((int(u), int(v)))
         except ValueError:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}") from None
+            raise ValueError(f"edge line must be 'u v', got {lines[i]!r}") from None
     return (n, m), pairs
 
 

@@ -37,12 +37,8 @@ def _slots(n: int, loops: bool) -> List[Tuple[int, int]]:
 def _graph(n: int, slots: List[Tuple[int, int]], mask: int,
            loops: bool) -> SimpleGraph:
     """The graph with an edge in slot i for each bit i set in mask."""
-    adj = [0] * n
-    for i, (u, v) in enumerate(slots):
-        if (mask >> i) & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return SimpleGraph(n, adj, loops_allowed=loops)
+    return SimpleGraph.from_edges(n, [s for i, s in enumerate(slots) if mask >> i & 1],
+                                  loops_allowed=loops)
 
 
 def _all_graphs(n: int, loops: bool) -> Iterator[SimpleGraph]:

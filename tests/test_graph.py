@@ -46,8 +46,10 @@ class TestConstruction:
             SimpleGraph(2, [4, 0])
 
     def test_asymmetry_rejected(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            SimpleGraph(2, [2, 0])
+        # a bit above the diagonal without its mirror, and one below
+        for rows in ([2, 0], [0, 1]):
+            with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(0, 1\)$"):
+                SimpleGraph(2, rows)
 
     def test_loops_need_permission(self):
         with pytest.raises(ValueError, match="loop"):
@@ -395,3 +397,109 @@ class TestKeysAndText:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+# Each fault as parse_graph and parse_digraph report it, word for word;
+# None where the digraph text is valid.
+PARSE_MESSAGES = [
+    ("", "empty graph input", "empty digraph input"),
+    (" \n\t\n", "empty graph input", "empty digraph input"),
+    ("2049 0", "vertex count must be in 0..2048, got 2049",
+     "vertex count must be in 0..2048, got 2049"),
+    ("2049 1 0 5000", "vertex count must be in 0..2048, got 2049",
+     "vertex count must be in 0..2048, got 2049"),
+    ("2 1\n0 2", "edge (0, 2) out of range for n=2", "edge (0, 2) out of range for n=2"),
+    ("2 1\n-1 0", "edge (-1, 0) out of range for n=2", "edge (-1, 0) out of range for n=2"),
+    ("3 2\n0 1\n0 1", "duplicate edge (0, 1)", None),
+    ("3 2\n0 1\n1 0", "duplicate edge (1, 0)", None),
+    ("1 2\n0 0\n0 0", "duplicate edge (0, 0)", None),
+    ("2 3  0 5  0 1  1 0", "edge (0, 5) out of range for n=2",
+     "edge (0, 5) out of range for n=2"),
+    ("2 3  0 1  1 0  0 5", "duplicate edge (1, 0)", "edge (0, 5) out of range for n=2"),
+    ("2 2\n0 x\n0 5", "edge line must be 'u v', got '0 x'",
+     "edge line must be 'u v', got '0 x'"),
+    ("2 2\n0 5\n0 x", "edge line must be 'u v', got '0 x'",
+     "edge line must be 'u v', got '0 x'"),
+    ("2 2\n0 1 1\n0 x", "edge line must be 'u v', got '0 1 1'",
+     "edge line must be 'u v', got '0 1 1'"),
+    ("3", "graph header must be 'n m', got '3'", "digraph header must be 'n m', got '3'"),
+    ("a b", "graph header must be 'n m', got 'a b'", "digraph header must be 'n m', got 'a b'"),
+    ("a 0", "graph header must be 'n m', got 'a 0'", "digraph header must be 'n m', got 'a 0'"),
+    ("2 x", "graph header must be 'n m', got '2 x'", "digraph header must be 'n m', got '2 x'"),
+    ("2 1.0\n0 1", "graph header must be 'n m', got '2 1.0'",
+     "digraph header must be 'n m', got '2 1.0'"),
+    ("-1 0", "graph header values must be nonnegative",
+     "digraph header values must be nonnegative"),
+    ("2 -1", "graph header values must be nonnegative",
+     "digraph header values must be nonnegative"),
+    ("3 2 x\n0 1", "graph header must be 'n m', got '3 2 x'",
+     "digraph header must be 'n m', got '3 2 x'"),
+    ("3\t2 x\n0 1", "graph header must be 'n m', got '3\\t2 x'",
+     "digraph header must be 'n m', got '3\\t2 x'"),
+    ("2 1 0", "graph literal needs an even token count, got 3",
+     "digraph literal needs an even token count, got 3"),
+    ("3 2 0 1 1", "graph literal needs an even token count, got 5",
+     "digraph literal needs an even token count, got 5"),
+    ("3 1\n0 x", "edge line must be 'u v', got '0 x'", "edge line must be 'u v', got '0 x'"),
+    ("3 1 0 x", "edge line must be 'u v', got '0 x'", "edge line must be 'u v', got '0 x'"),
+    ("3 1\n0", "edge line must be 'u v', got '0'", "edge line must be 'u v', got '0'"),
+    ("3 1\n0\t\t1 2", "edge line must be 'u v', got '0\\t\\t1 2'",
+     "edge line must be 'u v', got '0\\t\\t1 2'"),
+    ("3 1\n0  1  2", "edge line must be 'u v', got '0  1  2'",
+     "edge line must be 'u v', got '0  1  2'"),
+    ("3 2\n0\t1 2\n1 2", "edge line must be 'u v', got '0\\t1 2'",
+     "edge line must be 'u v', got '0\\t1 2'"),
+    ("3 1\n  0\t x  ", "edge line must be 'u v', got '0\\t x'",
+     "edge line must be 'u v', got '0\\t x'"),
+    ("3 2\n0 1", "expected 2 edge lines, got 1", "expected 2 edge lines, got 1"),
+    ("3 1\n0 1\n1 2", "expected 1 edge lines, got 2", "expected 1 edge lines, got 2"),
+    ("3 2 0 1 1 2 2 0", "expected 2 edge lines, got 3", "expected 2 edge lines, got 3"),
+]
+
+
+def error_of(parse, text):
+    try:
+        parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestParseMessages:
+    @pytest.mark.parametrize("text,graph_message,digraph_message", PARSE_MESSAGES)
+    def test_exact_message(self, text, graph_message, digraph_message):
+        assert error_of(parse_graph, text) == graph_message
+        assert error_of(parse_digraph, text) == digraph_message
+
+
+def fully_checked(n, edges, loops_allowed):
+    """The graph with the given edges, its rows built here and passed
+    through the constructor's checks."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return SimpleGraph(n, rows, loops_allowed)
+
+
+class TestOneBuilder:
+    @pytest.mark.parametrize("n,edges", [
+        (0, []),
+        (1, []),
+        (1, [(0, 0)]),
+        (4, [(0, 1), (1, 2)]),
+        (5, [(3, 3), (0, 4), (4, 4), (1, 0)]),
+        (6, [(5, 0), (2, 2)]),
+    ])
+    def test_parse_and_from_edges_match_the_checked_constructor(self, n, edges):
+        loops = any(u == v for u, v in edges)
+        text = f"{n} {len(edges)}" + "".join(f"\n{u} {v}" for u, v in edges)
+        want = fully_checked(n, edges, loops)
+        for g in (parse_graph(text), SimpleGraph.from_edges(n, edges)):
+            assert g == want
+            assert type(g.adj) is tuple
+            assert g.loops_allowed == loops
+
+    def test_from_edges_keeps_loops_allowed_without_loops(self):
+        g = SimpleGraph.from_edges(3, [(0, 1)], loops_allowed=True)
+        assert g == fully_checked(3, [(0, 1)], True) and g.loops_allowed

@@ -301,6 +301,48 @@ class TestDerivedGraphs:
             assert SimpleGraph(h.n, h.adj, h.loops_allowed) == h
 
 
+def all_pairs_check(n, rows, loops_allowed):
+    """The constructor's symmetry and loop checks as a loop over every
+    pair: the message for the first fault found, or None."""
+    for v in range(n):
+        for w in range(v + 1, n):
+            if (rows[v] >> w & 1) != (rows[w] >> v & 1):
+                return f"adjacency not symmetric at ({v}, {w})"
+    if not loops_allowed:
+        for v in range(n):
+            if rows[v] >> v & 1:
+                return f"loop at vertex {v} but loops are not allowed"
+    return None
+
+
+@st.composite
+def rows_with_flips(draw):
+    """The rows of a random graph with loops, 0-3 bits of them flipped,
+    and a loops_allowed flag."""
+    g = draw(graphs(max_n=8, loops=True))
+    rows = list(g.adj)
+    if g.n:
+        cells = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
+        for v, w in draw(st.lists(cells, max_size=3)):
+            rows[v] ^= 1 << w
+    return g.n, rows, draw(st.booleans())
+
+
+class TestSymmetryCheck:
+    @PROPERTY
+    @given(rows_with_flips())
+    @example((2, [0, 1], False))
+    @example((4, [0b0010, 0b1001, 0b1000, 0b0000], True))
+    def test_agrees_with_the_all_pairs_check(self, case):
+        n, rows, loops_allowed = case
+        try:
+            SimpleGraph(n, rows, loops_allowed)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        assert message == all_pairs_check(n, rows, loops_allowed)
+
+
 # -- the closed form: the rank-profile walk against per-subset ranks ---------
 
 
