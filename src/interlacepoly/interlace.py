@@ -16,7 +16,7 @@ x=2 specialization.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from ._limits import Memo, check_enumeration, check_profile_bits, store_bytes
 from ._workers import sum_histograms
@@ -71,12 +71,10 @@ def qn_recursive(g: SimpleGraph) -> UniPoly:
     cut-ranks low.
 
     qn is multiplicative over disjoint unions, so every node of the
-    recursion that is not connected is the product of its components,
-    each reduced on its own; an isolated vertex is a factor x.  The graph
-    is checked once, here; the graphs the moves derive from it are not
-    checked again.  The recursion is memoized on adjacency rows, the
-    components' as well as the nodes', in a memo that lives for this call
-    only and is held to the memo budget (see _limits).
+    recursion that is not connected is the product of its components
+    (see _split); an isolated vertex is a factor x.  The graph is checked
+    once, here; the graphs the moves derive from it are not checked
+    again.  _reduce walks the recursion and memoizes it.
 
     A node's polynomial is one int, coefficient k in bits [k*w, (k+1)*w)
     with w = n + 1 for the input's n.  qn(G; 2) = 2**m on m vertices and
@@ -85,53 +83,80 @@ def qn_recursive(g: SimpleGraph) -> UniPoly:
     product of components is *."""
     _require_loopless(g)
     w = g.n + 1
-    return UniPoly(unpack_fields(_qn_recursive_rec(_relabeled(g), w, Memo(w)), w, w))
+
+    def step(h: SimpleGraph) -> Step:
+        adj = h.adj
+        masks = component_masks(adj)
+        if len(masks) > 1:
+            return _split(adj, masks, 1 << w)
+        if len(adj) > 1:
+            # Connected: (0, v), v the least neighbor of 0, is the least edge.
+            row = adj[0]
+            v = (row & -row).bit_length() - 1
+            return [h.delete_vertex(0), h._pivot_unchecked(0, v).delete_vertex(v)], sum
+        return 1 << w * len(adj)
+
+    return UniPoly(unpack_fields(_reduce(_relabeled(g), Memo(w), step), w, w))
 
 
-def _qn_recursive_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
-    adj = g.adj
-    size = len(adj)
-    hit = memo[size].get(adj)
-    if hit is not None:
-        return hit
-    masks = component_masks(adj)
-    if len(masks) > 1:
-        packed = _component_product(g, masks, w, memo, _qn_recursive_rec, 1 << w)
-    elif size > 1:
-        # Connected, so vertex 0 has a neighbor; its least neighbor v
-        # makes (0, v) the lex-least edge.
-        row = adj[0]
-        v = (row & -row).bit_length() - 1
-        packed = (_qn_recursive_rec(g.delete_vertex(0), w, memo)
-                  + _qn_recursive_rec(g._pivot_unchecked(0, v).delete_vertex(v), w, memo))
-    else:
-        packed = 1 << w * size
-    memo.store(size, adj, packed, store_bytes(size, size, packed.bit_length()))
-    return packed
+Step = Union[int, Tuple[List[Union[SimpleGraph, Rows]], Callable[[List[int]], int]]]
 
 
-def _component_product(g: SimpleGraph, masks: List[int], w: int, memo: Memo,
-                       rec: Callable[[SimpleGraph, int, Memo], int],
-                       lone: int) -> int:
-    """The product over the components of g, given as vertex masks, of
-    rec on each, looked up in the memo first; a lone loopless vertex is
-    the factor `lone` instead.  A component's highest vertex has a zero
-    row iff it is such a vertex.  Two factors at a time from the front,
-    the product to the back: one factor at a time into a running product
-    is quadratic in its size."""
-    adj = g.adj
-    parts = [m for m in masks if adj[m.bit_length() - 1]]
-    factors = [lone ** (len(masks) - len(parts))]
-    for m in parts:
-        rows = restrict_rows(adj, m)
-        part = memo[len(rows)].get(rows)
-        if part is None:
-            part = rec(SimpleGraph(len(rows), rows, g.loops_allowed, _valid=True),
-                       w, memo)
-        factors.append(part)
-    while len(factors) > 1:
-        factors.append(factors.pop(0) * factors.pop(0))
-    return factors[0]
+def _reduce(g: SimpleGraph, memo: Memo, step: Callable[[SimpleGraph], Step]) -> int:
+    """The value of g by the recursion whose step gives a graph's value or
+    its children and their combine, memoized on rows at level len(rows)
+    (rule 2, see _limits) and walked on a stack of frames (graph, children,
+    combine, index of the next child), so no interpreter limit bounds its
+    depth.  A child, a graph or a component's rows (see _split), is looked
+    up once its older siblings are done, so no key is computed twice, and
+    built only on a miss; its value replaces it in the list."""
+    graph, children, combine, i = g, [g], None, 0
+    frames = []
+    while True:
+        if i < len(children):
+            child = children[i]
+            rows = child if type(child) is tuple else child.adj
+            size = len(rows)
+            value = memo[size].get(rows)
+            if value is not None:
+                children[i] = value
+                i += 1
+                continue
+            if type(child) is tuple:
+                child = SimpleGraph(size, rows, graph.loops_allowed, _valid=True)
+            value = step(child)
+            if type(value) is tuple:
+                frames.append((graph, children, combine, i))
+                graph, (children, combine), i = child, value, 0
+                continue
+        else:
+            if not frames:
+                return children[0]
+            rows, value = graph.adj, combine(children)
+            size = len(rows)
+            graph, children, combine, i = frames.pop()
+        memo.store(size, rows, value, store_bytes(size, size, value.bit_length()))
+        children[i] = value
+        i += 1
+
+
+def _split(adj: Rows, masks: List[int],
+           lone: int) -> Tuple[List[Rows], Callable[[List[int]], int]]:
+    """The components of adj, given as vertex masks: the rows of those
+    that are not a lone loopless vertex (whose highest vertex has a zero
+    row), and the product of their values and of `lone` per lone vertex,
+    two factors at a time from the front to the back: one factor at a
+    time into a running product is quadratic in its size."""
+    parts = [restrict_rows(adj, m) for m in masks if adj[m.bit_length() - 1]]
+    lones = lone ** (len(masks) - len(parts))
+
+    def product(values: List[int]) -> int:
+        factors = [lones, *values]
+        while len(factors) > 1:
+            factors.append(factors.pop(0) * factors.pop(0))
+        return factors[0]
+
+    return parts, product
 
 
 # -- closed subset sum --------------------------------------------------
@@ -348,40 +373,29 @@ def qn_bouchet(g: SimpleGraph) -> UniPoly:
     is relabeled once, on entry, by graph.cut_rank_order (see
     qn_recursive).
 
-    The graph is checked once, on entry, relabeled and split into its
-    connected components, which are reduced one at a time and
-    multiplied; unlike qn_recursive the recursion does not split again
-    below the top, since that made it slower.  It is memoized on
-    adjacency rows in one memo for this call, shared by the components
-    and held to the memo budget like qn_recursive's.  Polynomials are
-    packed ints with qn_recursive's field width w = n + 1, so the
-    product over the components is an int product."""
+    The graph is checked, relabeled and split into its components (see
+    _split) once, on entry; _reduce walks each in one shared memo, and
+    their product is not stored.  Below the top the recursion does not
+    split, since that made it slower.  Values are packed as in qn_recursive."""
     _require_loopless(g)
     w = g.n + 1
     g = _relabeled(g)
-    packed = _component_product(g, component_masks(g.adj), w, Memo(w),
-                                _qn_bouchet_rec, 1 << w)
-    return UniPoly(unpack_fields(packed, w, w))
+    memo = Memo(w)
 
-
-def _qn_bouchet_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
-    adj = g.adj
-    if not adj:
-        return 1
-    size = len(adj)
-    hit = memo[size].get(adj)
-    if hit is not None:
-        return hit
-    row = adj[0]
-    if row == 0:
-        packed = _qn_bouchet_rec(g.delete_vertex(0), w, memo) << w
-    else:
+    def step(h: SimpleGraph) -> Step:
+        adj = h.adj
+        if len(adj) == 1:
+            return 1 << w
+        row = adj[0]
+        if row == 0:
+            return [h.delete_vertex(0)], lambda values: values[0] << w
         v = (row & -row).bit_length() - 1
-        flipped = g.local_complement(0).local_complement(v).local_complement(0)
-        packed = (_qn_bouchet_rec(g.delete_vertex(0), w, memo)
-                  + _qn_bouchet_rec(flipped.delete_vertex(0), w, memo))
-    memo.store(size, adj, packed, store_bytes(size, size, packed.bit_length()))
-    return packed
+        flipped = h.local_complement(0).local_complement(v).local_complement(0)
+        return [h.delete_vertex(0), flipped.delete_vertex(0)], sum
+
+    parts, product = _split(g.adj, component_masks(g.adj), 1 << w)
+    values = [_reduce(SimpleGraph(len(rows), rows, _valid=True), memo, step) for rows in parts]
+    return UniPoly(unpack_fields(product(values), w, w))
 
 
 # -- isotropic-system route -----------------------------------------------
@@ -390,6 +404,7 @@ def _qn_bouchet_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
 def qn_isotropic(g: SimpleGraph) -> UniPoly:
     """qn via the restricted Tutte-Martin polynomial of the graphic
     isotropic system of g, with the canonical presentation."""
+    _require_loopless(g)
     from .isotropic import tutte_martin_canonical
     return tutte_martin_canonical(g)
 
@@ -423,13 +438,10 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     least loopless edge would leave the looped vertices to the end
     whatever their labels.
 
-    q2 is multiplicative over disjoint unions, so every node of the
-    reduction that is not connected is the product of its components,
-    each reduced on its own; an isolated loopless vertex is a factor y.
-    The graphs the moves derive are not checked again, and the reduction
-    is memoized on adjacency rows, the components' as well as the
-    nodes', in a memo that lives for this call only and is held to the
-    memo budget (see _limits).
+    q2 is multiplicative over disjoint unions, so a node that is not
+    connected is the product of its components (see _split); an isolated
+    loopless vertex is a factor y.  _reduce walks the reduction and
+    memoizes it; the graphs the moves derive are not checked again.
 
     A node carries its rank profile (see _rank_profile) as the polynomial
     in u = x-1 and v = y-1 it stands for, packed into one int: the count
@@ -444,37 +456,26 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
     n = g.n
     check_profile_bits(n)
     w = n + 1
-    packed = _q2_reduction_rec(_relabeled(g), w, Memo(w))
-    return _bipoly_from_rank_counts(unpack_fields(packed, w, w * w), n)
+    u = w * (w + 1)
 
-
-def _q2_reduction_rec(g: SimpleGraph, w: int, memo: Memo) -> int:
-    adj = g.adj
-    size = len(adj)
-    hit = memo[size].get(adj)
-    if hit is not None:
-        return hit
-    masks = component_masks(adj)
-    if len(masks) > 1:
-        packed = _component_product(g, masks, w, memo, _q2_reduction_rec, (1 << w) + 1)
-    elif adj and adj[0]:
+    def step(h: SimpleGraph) -> Step:
+        adj = h.adj
+        masks = component_masks(adj)
+        if len(masks) > 1:
+            return _split(adj, masks, (1 << w) + 1)
+        if not (adj and adj[0]):
+            return ((1 << w) + 1) ** len(adj)
         a, b = _first_step(adj)
         if b:
             # a = 0 < b, so deleting b leaves a's index unchanged.
-            minus_b = g._pivot_unchecked(a, b).delete_vertex(b)
-            # C first, so that no partial sum waits while a child recurses.
-            c = _q2_reduction_rec(minus_b.delete_vertex(a), w, memo)
-            packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
-                      + _q2_reduction_rec(minus_b, w, memo)
-                      + (c << 2 * w * (w + 1)) - c)  # C*u**2 - C
-        else:
-            packed = (_q2_reduction_rec(g.delete_vertex(a), w, memo)
-                      + (_q2_reduction_rec(g.local_complement(a).delete_vertex(a),
-                                           w, memo) << w * (w + 1)))  # + C*u
-    else:
-        packed = ((1 << w) + 1) ** size
-    memo.store(size, adj, packed, store_bytes(size, size, packed.bit_length()))
-    return packed
+            minus_b = h._pivot_unchecked(a, b).delete_vertex(b)
+            return ([minus_b.delete_vertex(a), h.delete_vertex(a), minus_b],
+                    lambda cab: cab[1] + cab[2] + (cab[0] << 2 * u) - cab[0])  # C*u**2 - C
+        return ([h.delete_vertex(a), h.local_complement(a).delete_vertex(a)],
+                lambda ac: ac[0] + (ac[1] << u))  # A + C*u
+
+    packed = _reduce(_relabeled(g), Memo(w), step)
+    return _bipoly_from_rank_counts(unpack_fields(packed, w, w * w), n)
 
 
 def _first_step(adj: Rows) -> Tuple[int, int]:

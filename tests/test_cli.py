@@ -81,6 +81,14 @@ class TestQn:
         err = run_err(capsys, ["qn", "1 1 0 0"])
         assert "loopless" in err
 
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_every_method_rejects_a_loop_alike(self, capsys, n):
+        # At n=30 the enumerations are past their bound, which the loop
+        # check comes before.
+        text = SimpleGraph.from_edges(n, [(0, 0), (1, 2)], loops_allowed=True).to_text()
+        errors = {run_err(capsys, ["qn", text, "--method", m]) for m in cli.QN_METHODS}
+        assert errors == {"error: qn is defined for loopless graphs only\n"}
+
 
 class TestQ2:
     def test_closed(self, capsys):

@@ -189,10 +189,24 @@ class TestNarrowOrder:
         assert circuit_partition_poly(random_eulerian_digraph(32, 3)).evaluate(1) == 2 ** 32
 
 
+def necklace(n):
+    """Edges i -> i+1 mod n, each twice.  Its Euler circuit reads
+    0, ..., n-1 twice, so its circle graph is K_n, and qn(K_n) = 2**(n-1)*x."""
+    return EulerianDigraph(n, [(i, (i + 1) % n) for i in range(n) for _ in range(2)])
+
+
 class TestMartin:
     def test_goldens(self):
         assert str(martin_poly(TWO_LOOPS)) == "x"
         assert str(martin_poly(DOUBLED_2CYCLE)) == "2*x"
+
+    def test_past_the_interpreters_recursion_limit(self):
+        # The recursion on K_1100 is 1,100 levels deep.
+        assert martin_poly(necklace(1100)) == UniPoly((0, 1 << 1099))
+
+    def test_cpp_on_a_400_vertex_necklace(self):
+        d = necklace(400)
+        assert circuit_partition_poly(d) == UniPoly.variable() * martin_poly(d).substitute(1)
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError, match="at least one edge"):

@@ -302,7 +302,9 @@ class TestPastSixtyThree:
         for n in range(9):
             assert qn_closed(path(n)) == self.path_qn(n)
 
-    @pytest.mark.parametrize("n", [64, 100, 200])
+    # At 1,100 vertices the recursions go deeper than the interpreter's
+    # default recursion limit: they walk an explicit stack.
+    @pytest.mark.parametrize("n", [64, 100, 200, 1100])
     def test_paths(self, n):
         want = self.path_qn(n)
         assert qn_recursive(path(n)) == want
