@@ -11,11 +11,13 @@ reduction (and so martin), cpp, or of the choice walk behind avdh,
 isotropic and tm (gf2.choice_ranks) holds at most MEMO_BUDGET_BYTES,
 read at call time, per process under the pool: each is one Memo, a
 table per level and one count of the bytes left.  A store is charged
-an upper bound on the bytes it adds, in O(1); a hit costs nothing.  In
-the recursions and cpp a node that misses stores once and has at most
-three children besides its components, so the budget bounds time too;
-the choice walk's time is bounded by rule 1.  The closed walk's memo
-is bounded by proof (interlace._rank_profile) and not charged.
+an upper bound on the bytes it adds, in O(1) (in cpp, which adds into
+the values it stores, on what they can grow to); a hit costs nothing.
+In the recursions a node that misses stores once and has at most three
+children besides its components, and cpp stores a state once per level
+and gives it two successors, so the budget bounds time too; the choice
+walk's time is bounded by rule 1.  The closed walk's memo is bounded by
+proof (interlace._rank_profile) and not charged.
 
 Rule 3, the profile bound: the reduction behind q2 carries its rank
 profile as one int, whose final value has (n + 1)**3 bits whatever the

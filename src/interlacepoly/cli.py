@@ -4,7 +4,8 @@ Inputs are file paths, "-" for the standard input stream, or (when the
 argument is not an existing file and contains whitespace) the literal
 text itself.  Exit codes: 0 success, 1 input error, a route past its
 bound (see _limits), worker crash, interrupt, exhausted memory or
-recursion depth (cpp's state walk only), 2 verification failure.
+recursion depth (no route recurses in Python; kept as a backstop),
+2 verification failure.
 
 Each command imports the modules it runs when it runs, so that a launch
 loads only those: qn on a small graph loads neither the process pool

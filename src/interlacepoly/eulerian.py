@@ -13,9 +13,9 @@ An Euler circuit visits every vertex exactly twice, so writing the
 visit order around a circle gives a chord diagram; its circle graph
 (chords as vertices, crossings as edges) carries the interlace
 polynomial that the circuit partition polynomial factors through.
-circuit_partition_poly sums over the states with one depth-first walk
-that links each vertex's pairing into strands of edges, counts the
-cycles they close, and memoizes on the strands left open;
+circuit_partition_poly sums over the states level by level: it links
+each vertex's pairing into strands of edges, counts the cycles they
+close, and keeps one table per level, keyed on the strands left open;
 enumerate_states traces each state on its own, as the reference.
 martin_poly takes the interlace polynomial of the circle graph instead.
 """
@@ -179,118 +179,112 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     """Histogram of cycle counts over the states whose choices at the
     first k vertices, read as bits, are `prefix`.
 
-    A depth-first walk decides vertex 0, 1, ..., n-1 in turn; choice c at
-    v links each in-edge ins[v][s] to the out-edge outs[v][s ^ c] that
-    follows it.  Linked edges form strands: first[a] is the start of the
-    strand that ends with edge a, last[b] the end of the strand that
-    starts with edge b (entries of edges inside a strand are stale).
-    Linking end a to start b closes a cycle when first[a] == b; otherwise
-    it joins the two strands with two writes, which the way back undoes
-    from a and b alone.
+    The walk decides vertex 0, 1, ..., n-1 in turn; choice c at v links
+    each in-edge ins[v][s] to the out-edge outs[v][s ^ c] that follows
+    it.  Linked edges form strands: first[a] is the start of the strand
+    that ends with edge a, last[b] the end of the strand that starts with
+    edge b (entries of edges inside a strand are stale).  Linking end a
+    to start b closes a cycle when first[a] == b; otherwise it joins the
+    two strands with two writes, which are undone from a and b alone.
 
     Once vertices 0..v-1 are decided, the rest of the walk depends only
     on the strand starts first[a] of the open ends a, the edges with
     tail < v <= head; every other edge whose head is undecided is a
-    strand of its own.  So the walk is memoized at each level v >= k on
-    those starts, as in the frontier search of Sekine, Imai and Tani
-    (ISAAC 1995).  A node returns the histogram of the cycles closed from
-    its level on, at most 2 * (n - v): the sum of its children's
-    histograms, each shifted by the 0-2 cycles its own links close.  A
-    histogram is packed into one int, count i in bits [i * w, (i + 1) * w)
-    with w = n + 1 bits, enough for 2**n states, so a shift and a sum are
-    one big-int operation each.  A store at level v is charged the memo
-    budget's price (see _limits) of the level's key and 2 * (n - v) + 1
-    fields.
+    strand of its own.  So level v holds one table, as in the frontier
+    method of Sekine, Imai and Tani (ISAAC 1995), from those starts to
+    the histogram of the cycles that the states reaching them have closed
+    so far.  The walk fills the tables forward: it loads each state of
+    level v into first and last, applies each choice (only the prefix's
+    below level k), adds the histogram, shifted by the 0-2 cycles the
+    links close, into level v + 1's table, and undoes the links; then it
+    clears level v.  A histogram is packed into one int, count i in bits
+    [i * w, (i + 1) * w) with w = n + 1 bits, enough for 2**n states, so
+    a shift and a sum are one big-int operation each.  A state first
+    stored at a level v >= k is charged the memo budget's price (see
+    _limits) of the level's key and 2 * v + 1 fields, as the v vertices
+    decided close at most 2 * v cycles; what later choices add into it
+    stays inside that price.
 
-    The memo's size follows the number of open ends at each level, which
-    the labels set: circuit_partition_poly relabels its input by
+    The tables' size follows the number of open ends at each level,
+    which the labels set: circuit_partition_poly relabels its input by
     _narrow_order first, so the walk's label order keeps few ends open.
     """
     n = len(ins)
-    tail = [0] * (2 * n)
-    head = [0] * (2 * n)
-    for v in range(n):
-        for e in outs[v]:
-            tail[e] = v
-        for e in ins[v]:
-            head[e] = v
+    head = {e: v for v in range(n) for e in ins[v]}
     w = n + 1
-    frontier = []
-    charge = []
+    key_bits = (2 * n - 1).bit_length()
+    # The open ends of level v + 1: those of level v less v's in-edges,
+    # then v's out-edges to later vertices.
+    ends = [[]]
     for v in range(n):
-        ends = [e for e in range(2 * n) if tail[e] < v <= head[e]]
-        frontier.append(itemgetter(*ends) if ends else lambda first: ())
-        charge.append(store_bytes(len(ends), (2 * n - 1).bit_length(), w * (2 * (n - v) + 1)))
-    memo = Memo(n)
+        ends.append([e for e in ends[v] if head[e] != v]
+                    + [e for e in outs[v] if head[e] > v])
+    price = [store_bytes(len(ends[v]), key_bits, w * (2 * v + 1))
+             if v >= k else 0 for v in range(n + 1)]
+    memo = Memo(n + 1)
+    memo.store(0, (), 1, price[0])
     first = list(range(2 * n))
     last = list(range(2 * n))
-    final = n - 1
-    one = 1 << w  # one state with one cycle
-    two = one << w  # one state with two cycles
-
-    # The first k levels take only the choice the prefix names.
-    def go(v: int) -> int:
+    for v in range(n):
         a0, a1 = ins[v]
         b = outs[v]
-        if v == final:
-            # Two strands run from b[0], b[1] to a0, a1.  The choice that
-            # links a0 to its own strand's start closes both; the other
-            # joins them and closes one.
-            if v >= k:
-                return one | two
-            return two if first[a0] == b[(prefix >> v) & 1] else one
-        if v >= k:
-            key = frontier[v](first)
-            hist = memo[v].get(key)
-            if hist is not None:
-                return hist
-        hist = 0
-        for c in (0, 1) if v >= k else ((prefix >> v) & 1,):
-            b0 = b[c]
-            b1 = b[c ^ 1]
-            s0 = first[a0]
-            t0 = last[b0]
-            join0 = s0 != b0
-            if join0:
-                last[s0] = t0
-                first[t0] = s0
-            s1 = first[a1]
-            t1 = last[b1]
-            join1 = s1 != b1
-            if join1:
-                last[s1] = t1
-                first[t1] = s1
-            hist += go(v + 1) << (w * (2 - join0 - join1))
-            if join1:
-                last[s1] = a1
-                first[t1] = b1
-            if join0:
-                last[s0] = a0
-                first[t0] = b0
-        if v >= k:
-            memo.store(v, key, hist, charge[v])
-        return hist
-
-    # go refers to itself, so the cycle collector, not the return,
-    # frees its closure; the memo is freed here.
-    try:
-        return unpack_fields(go(0), w, 2 * n + 1)
-    finally:
-        memo.clear()
+        loaded = ends[v]
+        ahead = ends[v + 1]
+        # The loads below need a tuple, which itemgetter of one item is not.
+        key_of = (itemgetter(*ahead) if len(ahead) > 1
+                  else lambda first, ahead=ahead: tuple(first[a] for a in ahead))
+        table = memo[v + 1]
+        charge = price[v + 1]
+        choices = (0, 1) if v >= k else ((prefix >> v) & 1,)
+        for key, hist in memo[v].items():
+            for a, s in zip(loaded, key):
+                first[a] = s
+                last[s] = a
+            for c in choices:
+                b0 = b[c]
+                b1 = b[c ^ 1]
+                s0 = first[a0]
+                t0 = last[b0]
+                join0 = s0 != b0
+                if join0:
+                    last[s0] = t0
+                    first[t0] = s0
+                s1 = first[a1]
+                t1 = last[b1]
+                join1 = s1 != b1
+                if join1:
+                    last[s1] = t1
+                    first[t1] = s1
+                nxt = key_of(first)
+                shifted = hist << (w * (2 - join0 - join1))
+                old = table.get(nxt)
+                if old is None:
+                    memo.store(v + 1, nxt, shifted, charge)
+                else:
+                    table[nxt] = old + shifted
+                if join1:
+                    last[s1] = a1
+                    first[t1] = b1
+                if join0:
+                    last[s0] = a0
+                    first[t0] = b0
+        memo[v].clear()
+    return unpack_fields(memo[n][()], w, 2 * n + 1)
 
 
 def circuit_partition_poly(d: EulerianDigraph) -> UniPoly:
     """f(d;x) = sum over k of (number of states with k cycles) * x^k.
     The edgeless digraph yields the constant 1 by convention.
 
-    One depth-first walk over the states counts their cycles
-    (_component_histogram), memoized on the strand starts of the edges
-    open at each level.  f does not depend on the labels, but the number
-    of open edges does, so the digraph is relabeled once, on entry, by a
-    greedy narrow order (see _narrow_order).  enumerate_states, which
-    traces each state on its own in label order, is its reference.
-    Under the pool (see _workers.sum_histograms) each process walks the
-    states of one prefix of the new order with a memo of its own."""
+    A walk over the states, one vertex per level, counts their cycles
+    (_component_histogram), with one table per level keyed on the strand
+    starts of the edges open there.  f does not depend on the labels, but
+    the number of open edges does, so the digraph is relabeled once, on
+    entry, by a greedy narrow order (see _narrow_order).
+    enumerate_states, which traces each state on its own in label order,
+    is its reference.  Under the pool (see _workers.sum_histograms) each
+    process walks the states of one prefix of the new order with a memo
+    of its own."""
     if not d.edges:
         return UniPoly((1,))
     _require_valid(d)

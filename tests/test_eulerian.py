@@ -204,9 +204,12 @@ class TestMartin:
         # The recursion on K_1100 is 1,100 levels deep.
         assert martin_poly(necklace(1100)) == UniPoly((0, 1 << 1099))
 
-    def test_cpp_on_a_400_vertex_necklace(self):
-        d = necklace(400)
-        assert circuit_partition_poly(d) == UniPoly.variable() * martin_poly(d).substitute(1)
+    @pytest.mark.parametrize("n", [400, 1100])
+    def test_cpp_on_a_necklace(self, n):
+        # The state walk fills one table per level, n levels deep.  f =
+        # x*m(x+1) with m = qn(K_n) = 2**(n-1)*x, so f = 2**(n-1)*(x^2 + x).
+        c = 1 << (n - 1)
+        assert circuit_partition_poly(necklace(n)) == UniPoly((0, c, c))
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError, match="at least one edge"):

@@ -4,12 +4,13 @@ its per-level prices or the levels it memoizes shows here; and the
 profile bound of the q2 reduction at its edge."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from interlacepoly import _limits
-from interlacepoly.eulerian import (circuit_partition_poly, martin_poly,
-                                    random_eulerian_digraph)
+from interlacepoly.eulerian import (EulerianDigraph, circuit_partition_poly,
+                                    martin_poly, random_eulerian_digraph)
 from interlacepoly.graph import SimpleGraph
 from interlacepoly.interlace import (q2_reduction, qn_avdh, qn_bouchet,
                                      qn_recursive)
@@ -29,7 +30,7 @@ class TestMemoCharge:
         (q2_reduction, LOOPED_10, 46_984),
         (qn_avdh, SIMPLE_14, 1_210_778),
         (tutte_martin_canonical, SIMPLE_14, 548_694),
-        (circuit_partition_poly, DIGRAPH_16, 28_588),
+        (circuit_partition_poly, DIGRAPH_16, 27_894),
         (martin_poly, DIGRAPH_16, 35_741),
     ], ids=["recursive", "bouchet", "reduction", "avdh", "tm", "cpp", "martin"])
     def test_a_call_charges_its_exact_total(self, monkeypatch, pin_cpus,
@@ -40,6 +41,31 @@ class TestMemoCharge:
         monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", charged - 1)
         with pytest.raises(ValueError, match="memo budget"):
             route(arg)
+
+    def test_cpp_is_refused_before_it_holds_its_budget(self, monkeypatch,
+                                                       pin_cpus):
+        # 300 looped vertices in a ring, which the narrow order decides
+        # first, and a random 28-vertex part: each ring vertex can close a
+        # cycle, so the many states of the part carry histograms of about
+        # 300 fields.  A price of the fields still to close, not of those
+        # closed so far, let this call hold 9.4 MiB against 8 MiB.
+        pin_cpus(1)
+        part = random_eulerian_digraph(28, 1)
+        edges = [(u + 300, v + 300) for u, v in part.edges]
+        u, v = edges.pop()
+        edges += [(u, 0), (299, v)] + [(i, i) for i in range(300)]
+        edges += [(i, i + 1) for i in range(299)]
+        d = EulerianDigraph(328, edges)
+        budget = 8 << 20
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="memo budget"):
+                circuit_partition_poly(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
 
 class TestProfileBound:
