@@ -13,6 +13,10 @@ read at call time, per process under the pool: each is one Memo, a
 table per level and one count of the bytes left.  A store is charged
 an upper bound on the bytes it adds, in O(1) (in cpp, which adds into
 the values it stores, on what they can grow to); a hit costs nothing.
+The choice walk's price per level is that of a tuple of its rows,
+which also bounds its key, one int that packs them: on a dense
+24-vertex avdh call its 562,670 stores are charged 371 MiB, and
+tracemalloc peaks at 74 MiB.
 In the recursions a node that misses stores once and has at most three
 children besides its components, and cpp stores a state once per level
 and gives it two successors, so the budget bounds time too; the choice

@@ -7,9 +7,12 @@ against a pivot dictionary, serves `rank` and the isotropic-system
 basis check.  `choice_ranks`, the one walk over the ways of picking a
 row from each of n pairs, which the `avdh` and `tm` sums both run,
 needs no pivots: it keeps the rows still to be picked reduced modulo
-those taken, so a pick adds rank iff its row is nonzero.  Those rows
-alone decide the rest of the walk, so its last levels are memoized on
-them, each node's histogram packed into one int; the memo is charged
+those taken, so a pick adds rank iff its row is nonzero.  It carries
+those rows packed into one int, a field per row, so a pick reduces
+all of them in a few big-int operations (poly.clear_bit), as the
+closed walk of interlace._rank_profile does too.  They alone decide
+the rest of the walk, so its last levels are memoized on that int,
+each node's histogram packed into one int as well; the memo is charged
 to the memo budget (see _limits).
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._limits import Memo, store_bytes
-from .poly import unpack_fields
+from .poly import clear_bit, pack_fields, unpack_fields
 
 # The choice walk memoizes the levels with at most this many pairs left
 # (see choice_ranks).
@@ -67,14 +70,20 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     the base rows are taken first and the prefix's picks next, by the
     same step, and the last two levels are counted in place.
 
+    The m rows left are one int (poly.pack_fields), row i in bits [i * W,
+    (i + 1) * W) with W the width of the widest row, so dropping the
+    first pair is a shift by 2W, and taking row r, whose lowest set bit
+    is b, clears b from every row below in three big-int operations
+    (poly.clear_bit).
+
     A node returns the histogram of the picks lost below it, the ones
     the span already holds, relative to those lost above it, packed into
     one int: count i in bits [i * w, (i + 1) * w) with w = n + 1, enough
     for the 2**n picks; a lost pick shifts its child's histogram by w,
     and the walk's total is unpacked once (poly.unpack_fields).  The
-    subtree below a node is a function of its rows alone, so tuple(rows)
-    is an exact key, and the levels with 3 to MEMO_LEVELS pairs left are
-    memoized on it.
+    subtree below a node is a function of its rows alone, so their int
+    is an exact key at its level, and the levels with 3 to MEMO_LEVELS
+    pairs left are memoized on it.
 
     How many keys a level holds depends on the rows.  A reduced row is
     the one member of its coset modulo the span taken that is zero in
@@ -89,72 +98,77 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     below v, and the keys grow with n: 27,448 at u <= 4 for n = 20 and
     198,377 for n = 24, where all four levels hold 562,670.  So every
     store is charged to the memo budget (see _limits) at a price fixed
-    per level: its key of 2u rows as wide as the widest row, and u + 1
-    fields of value.
+    per level: its key as a tuple of 2u rows as wide as the widest pair
+    row once the base is taken, which bounds the int of those rows, and
+    u + 1 fields of value.
     """
     n = len(pairs)
     w = n + 1
     top = list(base) + [row for pair in pairs for row in pair]
+    field = max(max(top, default=0).bit_length(), 1)
+    mask = (1 << field) - 1
+    # The rows left never reach past their own fields, so one mask of
+    # field feet serves every level.
+    rows, ones = pack_fields(top, field)
+    # The base rows, each its own pick; a key is priced at the width of
+    # the pair rows they leave.
     for _ in base:
-        top = _take(top[0], top[1:])
+        r = rows & mask
+        rows >>= field
+        if r:
+            rows = clear_bit(rows, ones, (r & -r).bit_length() - 1, r)
+    width = max(unpack_fields(rows, field, 2 * n), default=0).bit_length()
+    pair_bits = 2 * field
     # The histogram of one pick with 0, 1 or 2 picks lost.
     lost = (1, 1 << w, 1 << 2 * w)
     memo_rows = 2 * MEMO_LEVELS
-    width = max(top, default=0).bit_length()
     charge = [store_bytes(m, width, w * (m // 2 + 1)) for m in range(memo_rows + 1)]
     memo = Memo(memo_rows + 1)
 
-    def count(rows: List[int]) -> int:
-        m = len(rows)
+    def count(rows: int, m: int) -> int:
         if m > 4:
             if m <= memo_rows:
-                key = tuple(rows)
-                hist = memo[m].get(key)
+                hist = memo[m].get(rows)
                 if hist is not None:
                     return hist
-            rest = rows[2:]
+            rest = rows >> pair_bits
             hist = 0
-            for r in (rows[0], rows[1]):
+            for r in (rows & mask, rows >> field & mask):
                 if r:
-                    # _take, inlined: a call per node costs avdh about 20%.
-                    low = r & -r
-                    hist += count([x ^ r if x & low else x for x in rest])
+                    b = (r & -r).bit_length() - 1
+                    hist += count(clear_bit(rest, ones, b, r), m - 2)
                 else:
-                    hist += count(rest) << w
+                    hist += count(rest, m - 2) << w
             if m <= memo_rows:
-                memo.store(m, key, hist, charge[m])
+                memo.store(m, rows, hist, charge[m])
             return hist
         if m == 4:
-            a, b = rows[2], rows[3]
+            a, b = rows >> pair_bits & mask, rows >> 3 * field
             hist = 0
-            for r in (rows[0], rows[1]):
+            for r in (rows & mask, rows >> field & mask):
                 # Below a nonzero r, a reduces to zero iff a is 0 or r.
                 if r:
                     hist += lost[a == 0 or a == r] + lost[b == 0 or b == r]
                 else:
                     hist += lost[1 + (a == 0)] + lost[1 + (b == 0)]
             return hist
-        if rows:
-            return lost[rows[0] == 0] + lost[rows[1] == 0]
+        if m:
+            return lost[rows & mask == 0] + lost[rows >> field == 0]
         return 1
 
+    # The prefix's picks.
+    m = 2 * (n - k)
     shift = 0
     for i in range(k):
-        r = top[(prefix >> i) & 1]
-        top = _take(r, top[2:])
-        shift += w if r == 0 else 0
+        r = rows >> (prefix >> i & 1) * field & mask
+        rows >>= pair_bits
+        if r:
+            rows = clear_bit(rows, ones, (r & -r).bit_length() - 1, r)
+        else:
+            shift += w
     # count refers to itself, so the cycle collector, not the return,
     # frees its closure; the memo is freed here.
     try:
-        return unpack_fields(count(top) << shift, w, n + 1)
+        return unpack_fields(count(rows, m) << shift, w, n + 1)
     finally:
         memo.clear()
-
-
-def _take(row: int, rows: List[int]) -> List[int]:
-    """`rows` reduced modulo `row` as well: the lowest set bit of `row`
-    cleared from each, so that with a zero `row` nothing changes.  Rows
-    already reduced modulo the earlier picks stay so, since `row` is
-    zero in their pivot columns."""
-    low = row & -row
-    return [x ^ row if x & low else x for x in rows]

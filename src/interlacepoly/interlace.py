@@ -22,7 +22,8 @@ from ._limits import Memo, check_enumeration, check_profile_bits, store_bytes
 from ._workers import sum_histograms
 from .graph import (Rows, SimpleGraph, component_masks, cut_rank_order,
                     relabel_rows, restrict_rows)
-from .poly import BiPoly, UniPoly, poly_from_shift_counts, unpack_fields
+from .poly import (BiPoly, UniPoly, clear_bit, pack_fields,
+                   poly_from_shift_counts, unpack_fields)
 
 QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
 
@@ -214,11 +215,11 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     is nonsingular of rank r, and pending ones P; U = {v, ..., n-1} is
     undecided.  M is the Schur complement of A[E, E] on P and U, so that
     rank(A[W1 u W2]) = r + rank(M[P u W2]) for every W2 in U.  The walk
-    keeps M[P, P] = 0.  It carries the rows of M on U as `rows`, rows[i]
-    the row of vertex v + i with its columns keeping their labels, and
-    the rows of M[P, U] as `pend`, described below; bits below v are
-    stale and never read.  Excluding v costs nothing.  Including v
-    eliminates what it can:
+    keeps M[P, P] = 0.  It carries the rows of M on U packed into one int
+    `rows`, field i of n bits the row of vertex v + i with its columns
+    keeping their labels, and the rows of M[P, U] as the list `pend`,
+    described below; bits below v are stale and never read.  Excluding v
+    drops field 0, a shift by n.  Including v eliminates what it can:
 
       a pending row rp has bit v: pivot on the block of p and v, which
         is [[0, 1], [1, c]] with c = M[v, v] and so nonsingular; rank + 2.
@@ -229,6 +230,12 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
       else v is looped: pivot on v; rank + 1.  An undecided row x
         becomes x ^ (x_v ? rv : 0), and no pending row has bit v;
       else v joins P, which keeps M[P, P] = 0.
+
+    Each update of the undecided rows is a few operations on `rows`:
+    XORing rv or rp into the rows x with x_v set is poly.clear_bit, and
+    the marks x_p of a pair pivot are the bits of rp above v, which
+    spread moves to the foot of the fields, a byte at a time through a
+    table.
 
     Why the last levels can be memoized: write B = M[P, W2] and
     C = M[W2, W2].  With M[P, P] = 0, M[P u W2] = [[0, B], [B^T, C]].  For
@@ -251,10 +258,12 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     flat index: each subtree holds at most 2**n subsets, so a count
     fits its field.  Including v shifts the child's histogram by one
     index, plus n+1 per rank gained.  Each level v with
-    max(k, n - MEMO_LEVELS) <= v < n-1 is memoized on
-    (x >> v for the rows of U, D in reduced echelon form shifted to
-    start at v); the last level counts its two leaves in place, since
-    its key would cost more than its count.  With u = n - v <= 4
+    max(k, n - MEMO_LEVELS) <= v < n-1 is memoized, in a table of its
+    own, on (rows with the stale bits of each field cleared, D in
+    reduced echelon form shifted to start at v); the number of fields is
+    not in the key, so one table for all levels would mix them up.  The
+    last level counts its two leaves in place, since its key would cost
+    more than its count.  With u = n - v <= 4
     undecided vertices there are at most 2**(u(u+1)/2) residuals, or
     2**(u(u-1)/2) on loopless inputs, whose residuals stay loopless,
     times 67 subspaces of GF(2)**4 or fewer: at most 4,426 keys on
@@ -270,11 +279,21 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     grow = w
     rank1 = w * (w + 1)
     rank2 = w * (2 * w + 1)
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    mask = (1 << n) - 1
+    rows, ones = pack_fields(adj, n)
+    # spread[y] has a 1 at the foot of field i for each bit i of y < 256.
+    # A row pends from level 1 on, so a pivot spreads at most n - 2 bits.
+    spread = [0]
+    for i in range(min(8, n - 2)):
+        spread += [s | 1 << i * n for s in spread]
+    byte_fields = 8 * n
+    live = {v: ones * (mask >> v << v) for v in range(lo, last)}
+    memo: Dict[int, Dict[Tuple[int, Tuple[int, ...]], int]] = {
+        v: {} for v in range(lo, last)}
 
     # The first k levels take only the branch the prefix names.
-    def go(v: int, rows: List[int], pend: List[int]) -> int:
-        rv = rows[0]
+    def go(v: int, rows: int, pend: List[int]) -> int:
+        rv = rows & mask
         if v == last:
             hist = 1 if v >= k or not prefix >> v & 1 else 0
             if v >= k or prefix >> v & 1:
@@ -285,24 +304,29 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
                     hist += 1 << (rank1 if rv >> v & 1 else grow)
             return hist
         if v >= lo:
-            key = (tuple([x >> v for x in rows]), tuple([q >> v for q in pend]))
-            hit = memo.get(key)
+            key = (rows & live[v], tuple([q >> v for q in pend]))
+            hit = memo[v].get(key)
             if hit is not None:
                 return hit
-        rest = rows[1:]
+        rest = rows >> n
         hist = 0
         if v >= k or prefix >> v & 1:  # include v
             for i, rp in enumerate(pend):
                 if rp >> v & 1:
                     a = rv ^ rp if rv >> v & 1 else rv
-                    below = [x ^ (a if rp >> j & 1 else 0) ^ (rp if x >> v & 1 else 0)
-                             for j, x in enumerate(rest, v + 1)]
+                    below = clear_bit(rest, ones, v, rp)
+                    y = rp >> v + 1
+                    t = 0
+                    while y:
+                        below ^= spread[y & 255] * a << t
+                        y >>= 8
+                        t += byte_fields
                     kept = pend[:i] + [q ^ rp if q >> v & 1 else q for q in pend[i + 1:]]
                     hist = go(v + 1, below, kept) << rank2
                     break
             else:
                 if rv >> v & 1:
-                    below = [x ^ rv if x >> v & 1 else x for x in rest]
+                    below = clear_bit(rest, ones, v, rv)
                     hist = go(v + 1, below, pend) << rank1
                 else:
                     r = rv
@@ -318,13 +342,13 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
         if v >= k or not prefix >> v & 1:  # exclude v
             hist += go(v + 1, rest, pend[1:] if pend and pend[0] >> v == 1 else pend)
         if v >= lo:
-            memo[key] = hist
+            memo[v][key] = hist
         return hist
 
     # go refers to itself, so the cycle collector, not the return,
     # frees its closure; the memo is freed here.
     try:
-        return unpack_fields(go(0, list(adj), []), w, w * w)
+        return unpack_fields(go(0, rows, []), w, w * w)
     finally:
         memo.clear()
 

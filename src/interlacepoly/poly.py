@@ -252,6 +252,29 @@ def poly_from_shift_counts(counts: Sequence[int]) -> UniPoly:
     return UniPoly(counts).substitute(-1)
 
 
+def pack_fields(values: Sequence[int], width: int) -> Tuple[int, int]:
+    """`values`, each below 2**width, as one int with value i in bits
+    [i * width, (i + 1) * width), and the mask `ones` with a 1 at the
+    foot of each of those fields.  The 2**n walks, gf2.choice_ranks and
+    interlace._rank_profile, carry their GF(2) rows so, a row per field,
+    and update all of them at once (clear_bit)."""
+    packed = ones = 0
+    for value in reversed(values):
+        packed = packed << width | value
+        ones = ones << width | 1
+    return packed, ones
+
+
+def clear_bit(packed: int, ones: int, b: int, row: int) -> int:
+    """GF(2) rows packed a row per field (pack_fields, which gives
+    `ones`), with `row`, which has bit b set, XORed into each one that
+    has bit b, so that none has it: (packed >> b) & ones marks those
+    rows at the foot of their fields, and the mark times `row` XORs
+    `row` into just those fields, without a carry, since `row` fits a
+    field."""
+    return packed ^ (packed >> b & ones) * row
+
+
 def unpack_fields(packed: int, width: int, count: int) -> List[int]:
     """The count width-bit fields of a nonnegative int, lowest first.
 

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from interlacepoly import _limits
+from interlacepoly import _limits, gf2
 from interlacepoly.eulerian import (EulerianDigraph, circuit_partition_poly,
                                     martin_poly, random_eulerian_digraph)
 from interlacepoly.graph import SimpleGraph
@@ -41,6 +41,18 @@ class TestMemoCharge:
         monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", charged - 1)
         with pytest.raises(ValueError, match="memo budget"):
             route(arg)
+
+    def test_the_choice_walk_prices_keys_at_the_width_the_base_leaves(
+            self, monkeypatch):
+        # The base row clears bit 4 from every pair row, so the keys hold
+        # rows of 4 bits and are priced at that width, not at 5.
+        widths = []
+        price = gf2.store_bytes
+        monkeypatch.setattr(gf2, "store_bytes", lambda m, width, bits:
+                            widths.append(width) or price(m, width, bits))
+        pairs = tuple((1 << 4 | 1 << i, 1 << 4 | 1 << (i + 1) % 4) for i in range(4))
+        gf2.choice_ranks((1 << 4,), pairs, 0, 0)
+        assert set(widths) == {4}
 
     def test_cpp_is_refused_before_it_holds_its_budget(self, monkeypatch,
                                                        pin_cpus):

@@ -25,6 +25,7 @@ from interlacepoly.graph import (SimpleGraph, component_masks,
 from interlacepoly.interlace import (_rank_profile, q2_closed, q2_reduction,
                                      qn_bouchet, qn_closed, qn_recursive)
 from interlacepoly.poly import UniPoly
+from interlacepoly.verify import random_graph_with_loops, random_simple_graph
 
 # derandomize keeps the suite deterministic, so no example database is
 # kept between runs.
@@ -394,6 +395,27 @@ class TestRankProfile:
         # some pivots also change another pending row.
         assert _rank_profile(g.adj, g.n, 0, 0) == brute_rank_profile(g)
 
+    # In each, vertex 0 is loopless and adjacent to vertex 1 and to the
+    # last vertex, so including 0 and then 1 pivots on a pending row whose
+    # live bits above 1 reach past the first byte of the spread table
+    # (the seeds are the first that do).  A random graph on 10 vertices
+    # cannot: only a pivot at vertex 0 could, and nothing is pending there.
+    @pytest.mark.parametrize("g", [
+        random_simple_graph(11, random.Random(5)),
+        random_simple_graph(12, random.Random(2)),
+        random_graph_with_loops(11, random.Random(9)),
+        random_graph_with_loops(12, random.Random(3)),
+        SimpleGraph.from_edges(12, [(u, v) for u in range(0, 12, 2) for v in range(1, 12, 2)]),
+        SimpleGraph.from_edges(12, [(u, v) for u in range(0, 12, 2) for v in range(1, 12, 2)]
+                               + [(v, v) for v in range(1, 12, 4)], loops_allowed=True),
+    ], ids=["dense-11", "dense-12", "looped-11", "looped-12", "complete-bipartite-12",
+            "complete-bipartite-looped-side-12"])
+    def test_rows_past_one_byte(self, g):
+        whole = _rank_profile(g.adj, g.n, 0, 0)
+        assert whole == brute_rank_profile(g)
+        shards = [_rank_profile(g.adj, g.n, 2, p) for p in range(4)]
+        assert [sum(col) for col in zip(*shards)] == whole
+
     @PROPERTY
     @given(graph_and_shards())
     def test_prefix_ranges_sum_to_the_whole(self, gk):
@@ -485,6 +507,20 @@ class TestChoiceWalk:
                         for i in range(10))))
     def test_matches_per_choice_ranks(self, problem):
         base, pairs = problem
+        assert choice_ranks(base, pairs, 0, 0) == brute_choice_ranks(base, pairs)
+
+    @pytest.mark.parametrize("cols,n,seed", [(17, 10, 1), (20, 12, 2), (24, 11, 3)])
+    def test_rows_wider_than_two_bytes(self, cols, n, seed):
+        # Sparse rows in 17 to 24 columns and a few base rows, so that the
+        # span fills slowly and every memoized level sees wide keys.
+        rng = random.Random(seed)
+        sparse = [rng.getrandbits(cols) & rng.getrandbits(cols) for _ in range(2 * n + 4)]
+        base = []
+        for r in sparse[2 * n:]:
+            if rank(base + [r]) > len(base):
+                base.append(r)
+        base = tuple(base)
+        pairs = tuple(zip(sparse[:n], sparse[n:2 * n]))
         assert choice_ranks(base, pairs, 0, 0) == brute_choice_ranks(base, pairs)
 
     @PROPERTY
