@@ -16,7 +16,7 @@ x=2 specialization.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 from ._limits import Memo, check_enumeration, check_profile_bits, store_bytes
 from ._workers import sum_histograms
@@ -166,16 +166,13 @@ def _split(adj: Rows, masks: List[int],
 def qn_closed(g: SimpleGraph) -> UniPoly:
     """Sum of (x-1)**(|W| - rank(A[W])) over all vertex subsets W, the
     rank taken over GF(2) of the induced adjacency submatrix: the nullity
-    marginal of the rank profile, which a walk by symmetric elimination
-    computes, memoized over its last levels (see _rank_profile), pooled
-    from n = 16 on (see _closed_profile)."""
+    marginal of the rank profile, the sum of its columns, which a walk by
+    symmetric elimination computes, memoized over its last levels (see
+    _rank_profile), pooled from n = 16 on (see _closed_profile)."""
     _require_loopless(g)
-    n = g.n
-    profile = _closed_profile(g.adj, n)
-    counts = [0] * (n + 1)
-    for _, nullity, c in _profile_entries(profile, n):
-        counts[nullity] += c
-    return poly_from_shift_counts(counts)
+    w = g.n + 1
+    profile = _closed_profile(g.adj, g.n)
+    return poly_from_shift_counts([sum(profile[j::w]) for j in range(w)])
 
 
 def qn_closed_reference(g: SimpleGraph) -> UniPoly:
@@ -205,9 +202,9 @@ def _closed_profile(adj: Tuple[int, ...], n: int) -> List[int]:
 
 def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
                   prefix: int) -> List[int]:
-    """Histogram of (rank of A[W] over GF(2), |W|) over the vertex
+    """Histogram of (rank, nullity) of A[W] over GF(2) over the vertex
     subsets W whose first k vertices, read as bits, are `prefix`; flat
-    at rank*(n+1) + |W|.  Loops are diagonal ones.
+    at rank*(n+1) + nullity.  Loops are diagonal ones.
 
     A depth-first walk decides vertex 0, 1, ..., n-1 in turn and carries
     a Schur complement of A instead of an echelon form.  At level v the
@@ -253,32 +250,41 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     least leading bit that has bit v, so that q ^ rp keeps q's leading
     bit.
 
+    The nullities follow the same key.  A[W1] has nullity |P|, since
+    A[E, E] is nonsingular and M[P, P] = 0.  With D's basis in place of
+    P, A[W1 u W2] has nullity phi + dim D + |W2| - rank(M[D u W2]),
+    where phi = |P| - dim D and the rest depends only on the key.  So
+    the walk counts phi, not the nullity; at level n, where D is empty,
+    phi is the nullity.  Each step adds 0 or 1 to phi:
+
+      a pair pivot: p leaves P and rp leaves D's basis; 0;
+      a looped pivot changes neither P nor D; 0;
+      v joins P: 0 if its reduced row has a live bit and so joins D's
+        basis, else 1;
+      excluding v: 1 if it drops the row led by v, else 0.
+
     A node returns the histogram of its subtree relative to its own
-    rank and size, packed into one int with (n+1)-bit fields at the
-    flat index: each subtree holds at most 2**n subsets, so a count
-    fits its field.  Including v shifts the child's histogram by one
-    index, plus n+1 per rank gained.  Each level v with
-    max(k, n - MEMO_LEVELS) <= v < n-1 is memoized, in a table of its
+    rank and phi, packed into one int with (n+1)-bit fields at the flat
+    index: each subtree holds at most 2**n subsets, so a count fits its
+    field.  A step shifts the child's histogram by n+1 indices per rank
+    it gains and by one more if it adds 1 to phi.  Each level v with
+    max(k, n - MEMO_LEVELS) <= v < n is memoized, in a table of its
     own, on (rows with the stale bits of each field cleared, D in
     reduced echelon form shifted to start at v); the number of fields is
-    not in the key, so one table for all levels would mix them up.  The
-    last level counts its two leaves in place, since its key would cost
-    more than its count.  With u = n - v <= 4
-    undecided vertices there are at most 2**(u(u+1)/2) residuals, or
-    2**(u(u-1)/2) on loopless inputs, whose residuals stay loopless,
-    times 67 subspaces of GF(2)**4 or fewer: at most 4,426 keys on
-    loopless inputs and 69,672 on looped ones, whatever n.
+    not in the key, so one table for all levels would mix them up.
+    With u = n - v <= 4 undecided vertices there are at most
+    2**(u(u+1)/2) residuals, or 2**(u(u-1)/2) on loopless inputs, whose
+    residuals stay loopless, times 67 subspaces of GF(2)**4 or fewer: at
+    most 4,428 keys on loopless inputs and 69,676 on looped ones,
+    whatever n.
     """
-    if n == 0:
-        return [1]
     w = n + 1
-    last = n - 1
     lo = max(k, n - MEMO_LEVELS)
-    # The shifts of a histogram by one more vertex, with 0, 1 or 2 more
-    # rank: 1, n + 2 and 2n + 3 indices of w bits.
-    grow = w
-    rank1 = w * (w + 1)
-    rank2 = w * (2 * w + 1)
+    # The shifts of a histogram by one more phi, rank or two more ranks:
+    # 1, n + 1 and 2n + 2 indices of w bits.
+    phi = w
+    rank1 = w * w
+    rank2 = 2 * rank1
     mask = (1 << n) - 1
     rows, ones = pack_fields(adj, n)
     # spread[y] has a 1 at the foot of field i for each bit i of y < 256.
@@ -287,27 +293,20 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     for i in range(min(8, n - 2)):
         spread += [s | 1 << i * n for s in spread]
     byte_fields = 8 * n
-    live = {v: ones * (mask >> v << v) for v in range(lo, last)}
+    live = {v: ones * (mask >> v << v) for v in range(lo, n)}
     memo: Dict[int, Dict[Tuple[int, Tuple[int, ...]], int]] = {
-        v: {} for v in range(lo, last)}
+        v: {} for v in range(lo, n)}
 
     # The first k levels take only the branch the prefix names.
     def go(v: int, rows: int, pend: List[int]) -> int:
-        rv = rows & mask
-        if v == last:
-            hist = 1 if v >= k or not prefix >> v & 1 else 0
-            if v >= k or prefix >> v & 1:
-                # Only a row led by v can have bit v; it comes first.
-                if pend and pend[0] >> v & 1:
-                    hist += 1 << rank2
-                else:
-                    hist += 1 << (rank1 if rv >> v & 1 else grow)
-            return hist
+        if v == n:
+            return 1
         if v >= lo:
             key = (rows & live[v], tuple([q >> v for q in pend]))
             hit = memo[v].get(key)
             if hit is not None:
                 return hit
+        rv = rows & mask
         rest = rows >> n
         hist = 0
         if v >= k or prefix >> v & 1:  # include v
@@ -336,11 +335,14 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
                         kept = [min(q, q ^ r) for q in pend]
                         kept.append(r)
                         kept.sort()
+                        hist = go(v + 1, rest, kept)
                     else:
-                        kept = pend
-                    hist = go(v + 1, rest, kept) << grow
+                        hist = go(v + 1, rest, pend) << phi
         if v >= k or not prefix >> v & 1:  # exclude v
-            hist += go(v + 1, rest, pend[1:] if pend and pend[0] >> v == 1 else pend)
+            if pend and pend[0] >> v == 1:
+                hist += go(v + 1, rest, pend[1:]) << phi
+            else:
+                hist += go(v + 1, rest, pend)
         if v >= lo:
             memo[v][key] = hist
         return hist
@@ -351,14 +353,6 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
         return unpack_fields(go(0, rows, []), w, w * w)
     finally:
         memo.clear()
-
-
-def _profile_entries(profile: List[int], n: int) -> Iterator[Tuple[int, int, int]]:
-    """(rank, nullity, count) for each nonzero entry of a rank profile."""
-    for i, c in enumerate(profile):
-        if c:
-            r, size = divmod(i, n + 1)
-            yield r, size - r, c
 
 
 # -- column-choice sum --------------------------------------------------
@@ -469,18 +463,18 @@ def q2_reduction(g: SimpleGraph) -> BiPoly:
 
     A node carries its rank profile (see _rank_profile) as the polynomial
     in u = x-1 and v = y-1 it stands for, packed into one int: the count
-    of index i = rank*(n+1) + |W| in bits [i*w, (i+1)*w), with w = n + 1
-    for the input's n, so v is 1 << w and u is 1 << w*(w+1).  The edge
-    step is A + B + C*u**2 - C, the looped step A + C*u and an isolated
-    loopless vertex a factor 1 + v.  The term -C borrows across fields,
-    but every stored value is a profile of at most 2**n subsets, whose
-    counts fit their fields.  The final profile is expanded like
+    of index i = rank*(n+1) + nullity in bits [i*w, (i+1)*w), with
+    w = n + 1 for the input's n, so v is 1 << w and u is 1 << w*w.  The
+    edge step is A + B + C*u**2 - C, the looped step A + C*u and an
+    isolated loopless vertex a factor 1 + v.  The term -C borrows across
+    fields, but every stored value is a profile of at most 2**n subsets,
+    whose counts fit their fields.  The final profile is expanded like
     q2_closed's; its (n + 1)**3 bits are held to the profile bound (see
     _limits) before the reduction starts."""
     n = g.n
     check_profile_bits(n)
     w = n + 1
-    u = w * (w + 1)
+    u = w * w
 
     def step(h: SimpleGraph) -> Step:
         adj = h.adj
@@ -542,13 +536,13 @@ def _require_loopless(g: SimpleGraph) -> None:
 
 
 def _bipoly_from_rank_counts(profile: List[int], n: int) -> BiPoly:
-    """Expand the sum over the profile's (rank r, nullity u, count c) of
-    c * (x-1)**r * (y-1)**u: shift each rank's nullity histogram in y,
-    then each power of y's coefficients over the ranks in x."""
-    by_rank = [[0] * (n + 1) for _ in range(n + 1)]
-    for r, u, c in _profile_entries(profile, n):
-        by_rank[r][u] = c
-    in_y = [poly_from_shift_counts(row).coeffs for row in by_rank]
+    """Expand the sum over the profile's (rank r, nullity u, count c),
+    flat at r*(n+1) + u, of c * (x-1)**r * (y-1)**u: shift each rank's
+    nullity histogram in y, then each power of y's coefficients over the
+    ranks in x."""
+    w = n + 1
+    in_y = [poly_from_shift_counts(profile[i:i + w]).coeffs
+            for i in range(0, w * w, w)]
     terms: Dict[Tuple[int, int], int] = {}
     for j in range(n + 1):
         in_x = poly_from_shift_counts([ys[j] if j < len(ys) else 0 for ys in in_y])

@@ -27,7 +27,7 @@ class TestMemoCharge:
     @pytest.mark.parametrize("route,arg,charged", [
         (qn_recursive, SIMPLE_12, 52_911),
         (qn_bouchet, SIMPLE_12, 48_169),
-        (q2_reduction, LOOPED_10, 46_984),
+        (q2_reduction, LOOPED_10, 46_015),
         (qn_avdh, SIMPLE_14, 1_210_778),
         (tutte_martin_canonical, SIMPLE_14, 548_694),
         (circuit_partition_poly, DIGRAPH_16, 27_894),

@@ -354,7 +354,8 @@ def subsets(n):
 def brute_rank_profile(g):
     hist = [0] * (g.n + 1) ** 2
     for w in subsets(g.n):
-        hist[rank(g.induced_subgraph(w).adj) * (g.n + 1) + len(w)] += 1
+        r = rank(g.induced_subgraph(w).adj)
+        hist[r * (g.n + 1) + len(w) - r] += 1
     return hist
 
 

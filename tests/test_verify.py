@@ -29,7 +29,7 @@ class TestInstanceStreams:
 
 
 def test_eq3_fails_on_a_corrupted_closed_profile(monkeypatch):
-    # One extra subset at (rank 1, size 1) changes q2 closed and so
+    # One extra subset at (rank 1, nullity 1) changes q2 closed and so
     # qn_from_q2, but not the recursion it is checked against.
     real = interlace._closed_profile
 
