@@ -1,27 +1,33 @@
 """Every resource bound of the package, each set by what a route costs.
 
-Rule 1, the enumeration bound: a walk over all 2**n cases that
-memoizes only its last levels, or nothing (closed, avdh, isotropic, tm
-and the references), runs for n <= ENUMERATION_MAX_N, checked before
-anything of size n is built: the levels above its memo still visit up
-to 2**(n - levels) nodes.
+Rule 1, the enumeration bound: a walk over all 2**n cases (closed,
+avdh, isotropic, tm and the references) runs for n <= ENUMERATION_MAX_N,
+checked before anything of size n is built: a level of the closed or
+the choice walk may hold up to 2**v states, and the references visit
+every case.
 
 Rule 2, the memo budget: the memo of one call of recursive, bouchet,
-reduction (and so martin), cpp, or of the choice walk behind avdh,
-isotropic and tm (gf2.choice_ranks) holds at most MEMO_BUDGET_BYTES,
-read at call time, per process under the pool: each is one Memo, a
-table per level and one count of the bytes left.  A store is charged
-an upper bound on the bytes it adds, in O(1) (in cpp, which adds into
-the values it stores, on what they can grow to); a hit costs nothing.
-The choice walk's price per level is that of a tuple of its rows,
-which also bounds its key, one int that packs them: on a dense
-24-vertex avdh call its 562,670 stores are charged 371 MiB, and
-tracemalloc peaks at 74 MiB.
+reduction (and so martin), cpp, of the closed walk behind qn and q2
+(interlace._rank_profile) or of the choice walk behind avdh, isotropic
+and tm (gf2.choice_ranks) holds at most MEMO_BUDGET_BYTES, read at call
+time, per process under the pool: each is one Memo, a table per level
+and one count of the bytes left.  A store is charged an upper bound on
+the bytes it adds, in O(1) (in cpp, which adds into the values it
+stores, on what they can grow to); a hit costs nothing.  The closed and
+the choice walk add into their tables (Memo.add), a new entry charged
+its key's price and its value's digits and an entry the digits it
+gains, and each level is refunded once the next is built
+(Memo.release), so their budget bounds the two levels they hold.  On a
+dense 24-vertex graph in one process that live charge peaks at 252 MiB
+for closed, 442 MiB for q2 closed with loops, 255 MiB for avdh and
+138 MiB for tm, where tracemalloc peaks at 208, 368, 40 and 27 MiB: the
+choice walk prices its key as a tuple of its rows, which bounds the one
+int that packs them.
 In the recursions a node that misses stores once and has at most three
 children besides its components, and cpp stores a state once per level
-and gives it two successors, so the budget bounds time too; the choice
-walk's time is bounded by rule 1.  The closed walk's memo is bounded by
-proof (interlace._rank_profile) and not charged.
+and gives it two successors, so the budget bounds time too.  cpp's
+cleared levels are not refunded, since its budget is its only bound on
+time; the closed and the choice walk's time is bounded by rule 1.
 
 Rule 3, the profile bound: the reduction behind q2 carries its rank
 profile as one int, whose final value has (n + 1)**3 bits whatever the
@@ -94,16 +100,43 @@ def max_cut_rank() -> int:
 
 class Memo(list):
     """A charged memo (rule 2): one table per level, lookups inline as
-    memo[level].get(key), and one count of the bytes left."""
+    memo[level].get(key), and one count of the bytes left.  A walk that
+    fills its levels forward sums into them with add and clears each
+    level once the next is built with release, which refunds what add
+    charged that level."""
 
-    __slots__ = ("left",)
+    __slots__ = ("left", "held")
 
     def __init__(self, levels: int) -> None:
         super().__init__({} for _ in range(levels))
         self.left = MEMO_BUDGET_BYTES
+        self.held = [0] * levels
 
     def store(self, level: int, key: object, value: int, nbytes: int) -> None:
         self.left -= nbytes
         if self.left < 0:
             raise ValueError(f"the memo budget of {MEMO_BUDGET_BYTES} bytes per process is spent")
         self[level][key] = value
+
+    def add(self, level: int, key: object, value: int, price: int) -> None:
+        """Add value into the entry at key, or store it there: a new entry
+        is charged price, the bytes of its key, plus its value's digits,
+        and an entry that grows the digits it gains."""
+        table = self[level]
+        old = table.get(key)
+        if old is None:
+            nbytes = price + value.bit_length() // 7
+        else:
+            value += old
+            nbytes = value.bit_length() // 7 - old.bit_length() // 7
+        if nbytes:
+            self.left -= nbytes
+            if self.left < 0:
+                raise ValueError(f"the memo budget of {MEMO_BUDGET_BYTES} bytes per process is spent")
+            self.held[level] += nbytes
+        table[key] = value
+
+    def release(self, level: int) -> None:
+        """Clear a level and refund what add charged it."""
+        self[level].clear()
+        self.left += self.held[level]

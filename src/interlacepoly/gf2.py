@@ -11,9 +11,9 @@ those taken, so a pick adds rank iff its row is nonzero.  It carries
 those rows packed into one int, a field per row, so a pick reduces
 all of them in a few big-int operations (poly.clear_bit), as the
 closed walk of interlace._rank_profile does too.  They alone decide
-the rest of the walk, so its last levels are memoized on that int,
-each node's histogram packed into one int as well; the memo is charged
-to the memo budget (see _limits).
+the rest of the walk, so it fills one table per level keyed on that
+int, each state's histogram packed into one int as well; the tables
+are charged to the memo budget (see _limits).
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._limits import Memo, store_bytes
 from .poly import clear_bit, pack_fields, unpack_fields
-
-# The choice walk memoizes the levels with at most this many pairs left
-# (see choice_ranks).
-MEMO_LEVELS = 6
 
 
 def rank(rows: Iterable[int]) -> int:
@@ -62,13 +58,12 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     counts the picks whose first k choices, read as bits (bit i set: the
     second row of pair i), are `prefix`.
 
-    A depth-first walk picks from pair 0, 1, ... in turn and carries the
-    rows still to be decided, [a_i, b_i, a_i+1, b_i+1, ...], reduced
-    modulo the span of the rows taken so far, so a later row is zero
-    exactly when the span holds it.  A pick adds rank iff its row is
-    nonzero, and taking it clears its lowest set bit from the rows below;
-    the base rows are taken first and the prefix's picks next, by the
-    same step, and the last two levels are counted in place.
+    The walk picks from pair 0, 1, ... in turn and carries the rows
+    still to be decided, [a_i, b_i, a_i+1, b_i+1, ...], reduced modulo
+    the span of the rows taken so far, so a later row is zero exactly
+    when the span holds it.  A pick adds rank iff its row is nonzero,
+    and taking it clears its lowest set bit from the rows below; the
+    base rows are taken first, by the same step.
 
     The m rows left are one int (poly.pack_fields), row i in bits [i * W,
     (i + 1) * W) with W the width of the widest row, so dropping the
@@ -76,14 +71,16 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     is b, clears b from every row below in three big-int operations
     (poly.clear_bit).
 
-    A node returns the histogram of the picks lost below it, the ones
-    the span already holds, relative to those lost above it, packed into
-    one int: count i in bits [i * w, (i + 1) * w) with w = n + 1, enough
-    for the 2**n picks; a lost pick shifts its child's histogram by w,
-    and the walk's total is unpacked once (poly.unpack_fields).  The
-    subtree below a node is a function of its rows alone, so their int
-    is an exact key at its level, and the levels with 3 to MEMO_LEVELS
-    pairs left are memoized on it.
+    The rest of the walk is a function of the rows left alone, so level
+    v holds one table, as eulerian._component_histogram does, from their
+    int to the histogram of the picks lost so far, the ones the span
+    already held, packed into one int: count i in bits [i * w,
+    (i + 1) * w) with w = n + 1, enough for the 2**n picks.  The walk
+    fills the tables forward: it expands each state of level v once,
+    only by the prefix's pick below level k, shifts its histogram by w
+    if the pick is lost, and adds it into level v + 1's table; then it
+    releases level v.  Level n holds one key, 0, whose histogram is the
+    walk's total, unpacked once (poly.unpack_fields).
 
     How many keys a level holds depends on the rows.  A reduced row is
     the one member of its coset modulo the span taken that is zero in
@@ -92,15 +89,14 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     their reduced forms, so with u = n - v pairs left a key is a
     function of the subspace of the span that lives in those 2u bits,
     whatever n.  On random graphs of density 1/2 the levels with u = 3
-    and 4 hold 30 and 270 keys at n = 20 and at n = 24; at u = 5 and 6
-    that bound is past the levels' 2**(n - u) nodes, and their keys grow
-    from 12,371 to 70,996.  For avdh the adjacency rows keep their bits
-    below v, and the keys grow with n: 27,448 at u <= 4 for n = 20 and
-    198,377 for n = 24, where all four levels hold 562,670.  So every
-    store is charged to the memo budget (see _limits) at a price fixed
-    per level: its key as a tuple of 2u rows as wide as the widest pair
-    row once the base is taken, which bounds the int of those rows, and
-    u + 1 fields of value.
+    and 4 hold 30 and 270 keys at n = 20 and at n = 24, and the widest
+    level 8,453 and 90,191 (26,353 and 284,042 keys in all).  For avdh
+    the adjacency rows keep their bits below v, and the keys grow with
+    n: the widest level holds 17,937 at n = 20 and 195,699 at n = 24
+    (76,678 and 819,528 in all).  So every entry is charged to the memo
+    budget (see _limits.Memo.add): its key as a tuple of 2u rows as wide
+    as the widest pair row once the base is taken, which bounds the int
+    of those rows, and its value's digits as they grow.
     """
     n = len(pairs)
     w = n + 1
@@ -119,56 +115,19 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
             rows = clear_bit(rows, ones, (r & -r).bit_length() - 1, r)
     width = max(unpack_fields(rows, field, 2 * n), default=0).bit_length()
     pair_bits = 2 * field
-    # The histogram of one pick with 0, 1 or 2 picks lost.
-    lost = (1, 1 << w, 1 << 2 * w)
-    memo_rows = 2 * MEMO_LEVELS
-    charge = [store_bytes(m, width, w * (m // 2 + 1)) for m in range(memo_rows + 1)]
-    memo = Memo(memo_rows + 1)
-
-    def count(rows: int, m: int) -> int:
-        if m > 4:
-            if m <= memo_rows:
-                hist = memo[m].get(rows)
-                if hist is not None:
-                    return hist
+    memo = Memo(n + 1)
+    memo.add(0, rows, 1, store_bytes(2 * n, width, 0))
+    add = memo.add
+    for v in range(n):
+        price = store_bytes(2 * (n - v - 1), width, 0)
+        picks = (0, 1) if v >= k else (prefix >> v & 1,)
+        for rows, hist in memo[v].items():
             rest = rows >> pair_bits
-            hist = 0
-            for r in (rows & mask, rows >> field & mask):
+            for c in picks:
+                r = rows >> c * field & mask
                 if r:
-                    b = (r & -r).bit_length() - 1
-                    hist += count(clear_bit(rest, ones, b, r), m - 2)
+                    add(v + 1, clear_bit(rest, ones, (r & -r).bit_length() - 1, r), hist, price)
                 else:
-                    hist += count(rest, m - 2) << w
-            if m <= memo_rows:
-                memo.store(m, rows, hist, charge[m])
-            return hist
-        if m == 4:
-            a, b = rows >> pair_bits & mask, rows >> 3 * field
-            hist = 0
-            for r in (rows & mask, rows >> field & mask):
-                # Below a nonzero r, a reduces to zero iff a is 0 or r.
-                if r:
-                    hist += lost[a == 0 or a == r] + lost[b == 0 or b == r]
-                else:
-                    hist += lost[1 + (a == 0)] + lost[1 + (b == 0)]
-            return hist
-        if m:
-            return lost[rows & mask == 0] + lost[rows >> field == 0]
-        return 1
-
-    # The prefix's picks.
-    m = 2 * (n - k)
-    shift = 0
-    for i in range(k):
-        r = rows >> (prefix >> i & 1) * field & mask
-        rows >>= pair_bits
-        if r:
-            rows = clear_bit(rows, ones, (r & -r).bit_length() - 1, r)
-        else:
-            shift += w
-    # count refers to itself, so the cycle collector, not the return,
-    # frees its closure; the memo is freed here.
-    try:
-        return unpack_fields(count(rows, m) << shift, w, n + 1)
-    finally:
-        memo.clear()
+                    add(v + 1, rest, hist << w, price)
+        memo.release(v)
+    return unpack_fields(memo[n][0], w, n + 1)

@@ -27,10 +27,6 @@ from .poly import (BiPoly, UniPoly, clear_bit, pack_fields,
 
 QN_METHODS = ("recursive", "closed", "bouchet", "avdh", "isotropic")
 
-# The closed rank profile memoizes the levels with at most this many
-# undecided vertices, which bounds its memo whatever n (see _rank_profile).
-MEMO_LEVELS = 4
-
 
 def qn(g: SimpleGraph, method: str = "closed") -> UniPoly:
     """Single-variable interlace polynomial of a loopless graph.
@@ -167,8 +163,13 @@ def qn_closed(g: SimpleGraph) -> UniPoly:
     """Sum of (x-1)**(|W| - rank(A[W])) over all vertex subsets W, the
     rank taken over GF(2) of the induced adjacency submatrix: the nullity
     marginal of the rank profile, the sum of its columns, which a walk by
-    symmetric elimination computes, memoized over its last levels (see
-    _rank_profile), pooled from n = 16 on (see _closed_profile)."""
+    symmetric elimination computes, one table per level (see
+    _rank_profile), pooled from n = 16 on (see _closed_profile).
+
+    Raises:
+        ValueError: if n is past the enumeration bound, or if the walk's
+            tables need more than the memo budget (see _limits).
+    """
     _require_loopless(g)
     w = g.n + 1
     profile = _closed_profile(g.adj, g.n)
@@ -192,12 +193,15 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
 
 def _closed_profile(adj: Tuple[int, ...], n: int) -> List[int]:
     """The rank profile of all 2**n vertex subsets (see _rank_profile),
-    which one depth-first walk over the subsets computes by symmetric
-    elimination, memoized over its last levels; under the pool (see
-    _workers.sum_histograms) each process walks the subtree of one
-    prefix with a memo of its own."""
+    which one walk over the subsets computes by symmetric elimination,
+    one table per level.  The profile does not depend on the labels, but
+    the tables' size does: below a prefix S the states are governed by
+    the cut-rank rank(A[S, V - S]) (Oum, 2005), so the rows are relabeled
+    once, on entry, by graph.cut_rank_order, as the recursions are.
+    Under the pool (see _workers.sum_histograms) each process walks the
+    subsets of one prefix with a memo of its own."""
     check_enumeration(n)
-    return sum_histograms(_rank_profile, (adj, n), n)
+    return sum_histograms(_rank_profile, (relabel_rows(adj, cut_rank_order(adj)), n), n)
 
 
 def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
@@ -206,16 +210,16 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     subsets W whose first k vertices, read as bits, are `prefix`; flat
     at rank*(n+1) + nullity.  Loops are diagonal ones.
 
-    A depth-first walk decides vertex 0, 1, ..., n-1 in turn and carries
-    a Schur complement of A instead of an echelon form.  At level v the
+    The walk decides vertex 0, 1, ..., n-1 in turn and carries a Schur
+    complement of A instead of an echelon form.  At level v the
     chosen vertices W1 split into eliminated ones E, whose block A[E, E]
     is nonsingular of rank r, and pending ones P; U = {v, ..., n-1} is
     undecided.  M is the Schur complement of A[E, E] on P and U, so that
     rank(A[W1 u W2]) = r + rank(M[P u W2]) for every W2 in U.  The walk
     keeps M[P, P] = 0.  It carries the rows of M on U packed into one int
     `rows`, field i of n bits the row of vertex v + i with its columns
-    keeping their labels, and the rows of M[P, U] as the list `pend`,
-    described below; bits below v are stale and never read.  Excluding v
+    keeping their labels, and the rows of M[P, U] as the tuple `pend`,
+    described below; bits below v are stale and cleared.  Excluding v
     drops field 0, a shift by n.  Including v eliminates what it can:
 
       a pending row rp has bit v: pivot on the block of p and v, which
@@ -234,7 +238,7 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     spread moves to the foot of the fields, a byte at a time through a
     table.
 
-    Why the last levels can be memoized: write B = M[P, W2] and
+    Why a level's state is its key: write B = M[P, W2] and
     C = M[W2, W2].  With M[P, P] = 0, M[P u W2] = [[0, B], [B^T, C]].  For
     an invertible T on P, the congruence by T + I keeps the rank and the
     zero block and turns B into T B, so the rank depends on B only
@@ -263,23 +267,22 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
         basis, else 1;
       excluding v: 1 if it drops the row led by v, else 0.
 
-    A node returns the histogram of its subtree relative to its own
-    rank and phi, packed into one int with (n+1)-bit fields at the flat
-    index: each subtree holds at most 2**n subsets, so a count fits its
-    field.  A step shifts the child's histogram by n+1 indices per rank
-    it gains and by one more if it adds 1 to phi.  Each level v with
-    max(k, n - MEMO_LEVELS) <= v < n is memoized, in a table of its
-    own, on (rows with the stale bits of each field cleared, D in
-    reduced echelon form shifted to start at v); the number of fields is
-    not in the key, so one table for all levels would mix them up.
-    With u = n - v <= 4 undecided vertices there are at most
-    2**(u(u+1)/2) residuals, or 2**(u(u-1)/2) on loopless inputs, whose
-    residuals stay loopless, times 67 subspaces of GF(2)**4 or fewer: at
-    most 4,428 keys on loopless inputs and 69,676 on looped ones,
-    whatever n.
+    So level v holds one table, as eulerian._component_histogram does,
+    from each key (rows, D's basis) to the histogram of (rank, phi) over
+    the subsets of the first v vertices that reach it, packed into one
+    int with (n+1)-bit fields at the flat index: at most 2**n subsets,
+    so a count fits its field.  The walk fills the tables forward: it
+    expands each state of level v once, only by the prefix's branch
+    below level k, shifts its histogram by n+1 indices per rank the step
+    gains and by one more if it adds 1 to phi, and adds it into level
+    v + 1's table; then it releases level v.  Level n holds one key,
+    (0, ()), whose histogram is the profile.  Each entry is charged to
+    the memo budget (see _limits.Memo.add): its key as 2 + dim D ints of
+    (n - v) * n bits, and its value's digits as they grow.  How many
+    keys a level holds depends on the order of the vertices, which is
+    why _closed_profile relabels them first.
     """
     w = n + 1
-    lo = max(k, n - MEMO_LEVELS)
     # The shifts of a histogram by one more phi, rank or two more ranks:
     # 1, n + 1 and 2n + 2 indices of w bits.
     phi = w
@@ -293,66 +296,58 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     for i in range(min(8, n - 2)):
         spread += [s | 1 << i * n for s in spread]
     byte_fields = 8 * n
-    live = {v: ones * (mask >> v << v) for v in range(lo, n)}
-    memo: Dict[int, Dict[Tuple[int, Tuple[int, ...]], int]] = {
-        v: {} for v in range(lo, n)}
-
-    # The first k levels take only the branch the prefix names.
-    def go(v: int, rows: int, pend: List[int]) -> int:
-        if v == n:
-            return 1
-        if v >= lo:
-            key = (rows & live[v], tuple([q >> v for q in pend]))
-            hit = memo[v].get(key)
-            if hit is not None:
-                return hit
-        rv = rows & mask
-        rest = rows >> n
-        hist = 0
-        if v >= k or prefix >> v & 1:  # include v
-            for i, rp in enumerate(pend):
-                if rp >> v & 1:
-                    a = rv ^ rp if rv >> v & 1 else rv
-                    below = clear_bit(rest, ones, v, rp)
-                    y = rp >> v + 1
-                    t = 0
-                    while y:
-                        below ^= spread[y & 255] * a << t
-                        y >>= 8
-                        t += byte_fields
-                    kept = pend[:i] + [q ^ rp if q >> v & 1 else q for q in pend[i + 1:]]
-                    hist = go(v + 1, below, kept) << rank2
-                    break
-            else:
-                if rv >> v & 1:
-                    below = clear_bit(rest, ones, v, rv)
-                    hist = go(v + 1, below, pend) << rank1
-                else:
-                    r = rv
-                    for q in pend:
-                        r = min(r, r ^ q)  # clears q's leading bit from r
-                    if r >> v:
-                        kept = [min(q, q ^ r) for q in pend]
-                        kept.append(r)
-                        kept.sort()
-                        hist = go(v + 1, rest, kept)
+    memo = Memo(n + 1)
+    memo.add(0, (rows, ()), 1, store_bytes(2, n * n, 0))
+    add = memo.add
+    for v in range(n):
+        # Level v + 1 keeps the bits above v of every row.
+        live = ones * (mask >> v + 1 << v + 1)
+        stale = ~(1 << v)
+        u = n - v - 1
+        price = [store_bytes(2 + d, u * n, 0) for d in range(u + 1)]
+        choices = (1, 0) if v >= k else (prefix >> v & 1,)
+        for (rows, pend), hist in memo[v].items():
+            rv = rows & mask
+            rest = rows >> n
+            for include in choices:
+                below = rest
+                kept = pend
+                shift = 0
+                if include:
+                    for i, rp in enumerate(pend):
+                        if rp >> v & 1:
+                            a = rv ^ rp if rv >> v & 1 else rv
+                            below = clear_bit(rest, ones, v, rp)
+                            y = rp >> v + 1
+                            t = 0
+                            while y:
+                                below ^= spread[y & 255] * a << t
+                                y >>= 8
+                                t += byte_fields
+                            kept = pend[:i] + tuple([q ^ rp if q >> v & 1 else q
+                                                     for q in pend[i + 1:]])
+                            shift = rank2
+                            break
                     else:
-                        hist = go(v + 1, rest, pend) << phi
-        if v >= k or not prefix >> v & 1:  # exclude v
-            if pend and pend[0] >> v == 1:
-                hist += go(v + 1, rest, pend[1:]) << phi
-            else:
-                hist += go(v + 1, rest, pend)
-        if v >= lo:
-            memo[v][key] = hist
-        return hist
-
-    # go refers to itself, so the cycle collector, not the return,
-    # frees its closure; the memo is freed here.
-    try:
-        return unpack_fields(go(0, rows, []), w, w * w)
-    finally:
-        memo.clear()
+                        if rv >> v & 1:
+                            below = clear_bit(rest, ones, v, rv)
+                            shift = rank1
+                        else:
+                            r = rv
+                            for q in pend:
+                                r = min(r, r ^ q)  # clears q's leading bit from r
+                            if r >> v:
+                                kept = tuple(sorted([min(q, q ^ r) for q in pend] + [r]))
+                            else:
+                                shift = phi
+                elif pend and pend[0] >> v == 1:
+                    kept = pend[1:]
+                    shift = phi
+                else:
+                    kept = tuple([q & stale for q in pend])
+                add(v + 1, (below & live, kept), hist << shift, price[len(kept)])
+        memo.release(v)
+    return unpack_fields(memo[n][0, ()], w, w * w)
 
 
 # -- column-choice sum --------------------------------------------------
@@ -364,8 +359,8 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
     adjacency column or the i-th identity column.
 
     gf2.choice_ranks walks the choices, keeping the columns still to be
-    chosen reduced modulo those taken, memoized over its last levels,
-    and histograms them by corank, pooled by _workers.sum_histograms.
+    chosen reduced modulo those taken, one table per level, and
+    histograms them by corank, pooled by _workers.sum_histograms.
 
     Raises:
         ValueError: if n is past the enumeration bound, or if the walk's

@@ -259,8 +259,8 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     F-hat is spanned by one vector at each position, a choice between
     the two admitted Klein values (smaller code first).  gf2.choice_ranks
     takes the L-basis first, then walks the choices with the vectors
-    still to be chosen reduced modulo the span so far, memoized over its
-    last levels, and histograms the rank they add: L and F-hat have
+    still to be chosen reduced modulo the span so far, one table per
+    level, and histograms the rank they add: L and F-hat have
     dimension n each in a space of dimension 2n, so dim(L meet F-hat) =
     n - gain, the index of the histogram, pooled by
     _workers.sum_histograms.

@@ -116,6 +116,14 @@ class TestClosedForm:
         # n = 14 memoizes levels 10 to 12 below a ten-level walk.
         assert qn_closed(g) == qn_closed_reference(g)
 
+    def test_cut_rank_order_keeps_a_sparse_walk_small(self, pin_cpus):
+        # In its own labels the walk took seconds on this graph; in
+        # cut-rank order its tables hold few states.
+        pin_cpus(1)
+        g = SimpleGraph.from_edges(24, random.Random(1).sample(
+            [(u, v) for u in range(24) for v in range(u + 1, 24)], 41))
+        assert qn_closed(g) == qn_recursive(g)
+
     def test_worker_pool_matches_serial(self, pin_cpus):
         g = random_simple_graph(16, random.Random(3))
         pin_cpus(2)

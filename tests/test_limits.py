@@ -12,8 +12,8 @@ from interlacepoly import _limits, gf2
 from interlacepoly.eulerian import (EulerianDigraph, circuit_partition_poly,
                                     martin_poly, random_eulerian_digraph)
 from interlacepoly.graph import SimpleGraph
-from interlacepoly.interlace import (q2_reduction, qn_avdh, qn_bouchet,
-                                     qn_recursive)
+from interlacepoly.interlace import (q2_closed, q2_reduction, qn_avdh,
+                                     qn_bouchet, qn_closed, qn_recursive)
 from interlacepoly.isotropic import tutte_martin_canonical
 from interlacepoly.verify import random_graph_with_loops, random_simple_graph
 
@@ -21,6 +21,8 @@ SIMPLE_12 = random_simple_graph(12, random.Random(1))
 LOOPED_10 = random_graph_with_loops(10, random.Random(1))
 SIMPLE_14 = random_simple_graph(14, random.Random(1))
 DIGRAPH_16 = random_eulerian_digraph(16, 1)
+SIMPLE_20 = random_simple_graph(20, random.Random(1))
+LOOPED_20 = random_graph_with_loops(20, random.Random(1))
 
 
 class TestMemoCharge:
@@ -28,11 +30,14 @@ class TestMemoCharge:
         (qn_recursive, SIMPLE_12, 52_911),
         (qn_bouchet, SIMPLE_12, 48_169),
         (q2_reduction, LOOPED_10, 46_015),
-        (qn_avdh, SIMPLE_14, 1_210_778),
-        (tutte_martin_canonical, SIMPLE_14, 548_694),
+        (qn_avdh, SIMPLE_14, 706_442),
+        (tutte_martin_canonical, SIMPLE_14, 403_176),
+        (qn_closed, SIMPLE_14, 328_975),
+        (q2_closed, LOOPED_10, 47_227),
         (circuit_partition_poly, DIGRAPH_16, 27_894),
         (martin_poly, DIGRAPH_16, 35_741),
-    ], ids=["recursive", "bouchet", "reduction", "avdh", "tm", "cpp", "martin"])
+    ], ids=["recursive", "bouchet", "reduction", "avdh", "tm", "qn_closed",
+            "q2_closed", "cpp", "martin"])
     def test_a_call_charges_its_exact_total(self, monkeypatch, pin_cpus,
                                             route, arg, charged):
         pin_cpus(1)
@@ -74,6 +79,25 @@ class TestMemoCharge:
         try:
             with pytest.raises(ValueError, match="memo budget"):
                 circuit_partition_poly(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+    @pytest.mark.parametrize("route,arg", [(q2_closed, LOOPED_20), (qn_avdh, SIMPLE_20)],
+                             ids=["closed", "avdh"])
+    def test_a_forward_walk_is_refused_before_it_holds_its_budget(
+            self, monkeypatch, pin_cpus, route, arg):
+        # These walks hold two levels at a time and are refunded each
+        # level they clear, so the charge must still cover what the two
+        # live levels hold.
+        pin_cpus(1)
+        budget = 4 << 20
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="memo budget"):
+                route(arg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

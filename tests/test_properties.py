@@ -452,8 +452,8 @@ class TestClosedForm:
 def choice_problems(draw, min_pairs=0, max_pairs=10, max_cols=9):
     """Independent base rows and pairs of rows, all in max_cols columns;
     rows may repeat, lie in the base's span or be zero.  Up to 10 pairs
-    reach the memoized levels (3 to gf2.MEMO_LEVELS pairs left) from
-    levels above them."""
+    make levels of up to 2**10 picks, whose tables merge the picks that
+    leave the same rows."""
     cols = draw(st.integers(0, max_cols))
     row = st.integers(0, (1 << cols) - 1)
     base = []
@@ -477,8 +477,8 @@ def brute_choice_ranks(base, pairs):
 @st.composite
 def choices_and_shards(draw):
     """A choice problem and a prefix width k."""
-    # Half the problems have at least 8 pairs, so that below the prefix
-    # the walk reaches its memoized levels.
+    # Half the problems have at least 8 pairs, so that below the widest
+    # prefix (k = 5) three levels still branch.
     base, pairs = draw(st.one_of(choice_problems(), choice_problems(min_pairs=8)))
     return base, pairs, draw(st.integers(0, min(len(pairs), 5)))
 
