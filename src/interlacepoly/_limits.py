@@ -18,11 +18,16 @@ the choice walk add into their tables (Memo.add), a new entry charged
 its key's price and its value's digits and an entry the digits it
 gains, and each level is refunded once the next is built
 (Memo.release), so their budget bounds the two levels they hold.  On a
-dense 24-vertex graph in one process that live charge peaks at 252 MiB
-for closed, 442 MiB for q2 closed with loops, 255 MiB for avdh and
-138 MiB for tm, where tracemalloc peaks at 208, 368, 40 and 27 MiB: the
-choice walk prices its key as a tuple of its rows, which bounds the one
-int that packs them.
+dense 24-vertex graph in one process that live charge peaks at 111 MiB
+for closed, 125 MiB for q2 closed with loops (143 MiB with every vertex
+looped), 255 MiB for avdh and 138 MiB for tm, where tracemalloc peaks
+at 72, 77, 99, 40 and 27 MiB: the choice walk prices its key as a tuple
+of its rows, which bounds the one int that packs them.  No bound below
+the budget is proven on the closed walk's levels, as one was on the
+memo of the depth-first walk it replaced, so a closed call at n <= 24
+that walk ran may be refused; of 32 graphs measured at n = 24, of
+density 0.1 to 1 with no, some or every vertex looped, none charged
+more than 158 MiB.
 In the recursions a node that misses stores once and has at most three
 children besides its components, and cpp stores a state once per level
 and gives it two successors, so the budget bounds time too.  cpp's

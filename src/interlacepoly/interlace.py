@@ -194,14 +194,11 @@ def qn_closed_reference(g: SimpleGraph) -> UniPoly:
 def _closed_profile(adj: Tuple[int, ...], n: int) -> List[int]:
     """The rank profile of all 2**n vertex subsets (see _rank_profile),
     which one walk over the subsets computes by symmetric elimination,
-    one table per level.  The profile does not depend on the labels, but
-    the tables' size does: below a prefix S the states are governed by
-    the cut-rank rank(A[S, V - S]) (Oum, 2005), so the rows are relabeled
-    once, on entry, by graph.cut_rank_order, as the recursions are.
-    Under the pool (see _workers.sum_histograms) each process walks the
-    subsets of one prefix with a memo of its own."""
+    one table per level, in the graph's own labels.  Under the pool (see
+    _workers.sum_histograms) each process walks the subsets of one
+    prefix with a memo of its own."""
     check_enumeration(n)
-    return sum_histograms(_rank_profile, (relabel_rows(adj, cut_rank_order(adj)), n), n)
+    return sum_histograms(_rank_profile, (adj, n), n)
 
 
 def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
@@ -270,24 +267,26 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     So level v holds one table, as eulerian._component_histogram does,
     from each key (rows, D's basis) to the histogram of (rank, phi) over
     the subsets of the first v vertices that reach it, packed into one
-    int with (n+1)-bit fields at the flat index: at most 2**n subsets,
-    so a count fits its field.  The walk fills the tables forward: it
-    expands each state of level v once, only by the prefix's branch
-    below level k, shifts its histogram by n+1 indices per rank the step
-    gains and by one more if it adds 1 to phi, and adds it into level
-    v + 1's table; then it releases level v.  Level n holds one key,
-    (0, ()), whose histogram is the profile.  Each entry is charged to
-    the memo budget (see _limits.Memo.add): its key as 2 + dim D ints of
-    (n - v) * n bits, and its value's digits as they grow.  How many
-    keys a level holds depends on the order of the vertices, which is
-    why _closed_profile relabels them first.
+    int with (n+1)-bit fields at phi*(n+1) + rank: at most 2**n subsets,
+    so a count fits its field.  phi is at most the nullity of every
+    subset the state reaches, which is small on a dense graph, while
+    the rank grows with v; so phi, not the rank, takes the stride, and
+    a dense graph's histograms stay a few rows of fields long.  The walk
+    fills the tables forward: it expands each state of level v once,
+    only by the prefix's branch below level k, shifts its histogram by
+    one field per rank the step gains and by n+1 more if it adds 1 to
+    phi, and adds it into level v + 1's table; then it releases level
+    v.  Level n holds one key, (0, ()), whose histogram is the profile,
+    returned at rank*(n+1) + nullity.  Each entry is charged to the memo
+    budget (see _limits.Memo.add): its key as 2 + dim D ints of
+    (n - v) * n bits, and its value's digits as they grow.
     """
     w = n + 1
-    # The shifts of a histogram by one more phi, rank or two more ranks:
-    # 1, n + 1 and 2n + 2 indices of w bits.
-    phi = w
-    rank1 = w * w
-    rank2 = 2 * rank1
+    # The shifts of a histogram by one more rank, two more ranks or one
+    # more phi: 1, 2 and n + 1 fields of w bits.
+    rank1 = w
+    rank2 = 2 * w
+    phi = w * w
     mask = (1 << n) - 1
     rows, ones = pack_fields(adj, n)
     # spread[y] has a 1 at the foot of field i for each bit i of y < 256.
@@ -347,7 +346,8 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
                     kept = tuple([q & stale for q in pend])
                 add(v + 1, (below & live, kept), hist << shift, price[len(kept)])
         memo.release(v)
-    return unpack_fields(memo[n][0, ()], w, w * w)
+    flat = unpack_fields(memo[n][0, ()], w, w * w)
+    return [flat[j * w + r] for r in range(w) for j in range(w)]
 
 
 # -- column-choice sum --------------------------------------------------

@@ -397,9 +397,9 @@ class TestResourceRules:
     @pytest.mark.parametrize("command, method", CHOICE_WALKS,
                              ids=["-".join(filter(None, r)) for r in CHOICE_WALKS])
     def test_choice_walk_memo_budget(self, capsys, monkeypatch, command, method):
-        # The choice walk memoizes its last levels and charges them to
-        # the memo budget, which a dense 14-vertex graph passes at the
-        # default and spends at 1000 bytes.
+        # The choice walk charges its tables to the memo budget, which
+        # a dense 14-vertex graph passes at the default and spends at
+        # 1000 bytes.
         text = verify.random_simple_graph(14, random.Random(1)).to_text()
         assert cli.run(self.argv(command, method, text)) == 0
         capsys.readouterr()

@@ -113,13 +113,14 @@ class TestClosedForm:
         SimpleGraph.from_edges(14, [(u, v) for u in range(7) for v in range(7, 14)]),
     ], ids=["dense", "sparse", "K7,7"])
     def test_memoized_walk_matches_the_reference(self, g):
-        # n = 14 memoizes levels 10 to 12 below a ten-level walk.
         assert qn_closed(g) == qn_closed_reference(g)
 
-    def test_cut_rank_order_keeps_a_sparse_walk_small(self, pin_cpus):
-        # In its own labels the walk took seconds on this graph; in
-        # cut-rank order its tables hold few states.
+    def test_a_sparse_24_vertex_walk_fits_a_4_mib_budget(self, monkeypatch,
+                                                         pin_cpus):
+        # The tables merge the subsets of a sparse graph into few states:
+        # this walk's two live levels peak at a charge of 3.0 MiB.
         pin_cpus(1)
+        monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", 4 << 20)
         g = SimpleGraph.from_edges(24, random.Random(1).sample(
             [(u, v) for u in range(24) for v in range(u + 1, 24)], 41))
         assert qn_closed(g) == qn_recursive(g)
@@ -153,8 +154,8 @@ PERM_15 = random.Random(4).sample(range(15), 15)
 
 
 class TestMemoizedChoiceWalk:
-    """avdh and the canonical Tutte-Martin sum, whose walks memoize
-    their last levels, against the per-subset reference at n = 14-16."""
+    """avdh and the canonical Tutte-Martin sum, whose walks fill one
+    table per level, against the per-subset reference at n = 14-16."""
 
     @pytest.mark.parametrize("g, reference", [
         (DENSE_15, DENSE_15),

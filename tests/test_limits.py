@@ -32,8 +32,8 @@ class TestMemoCharge:
         (q2_reduction, LOOPED_10, 46_015),
         (qn_avdh, SIMPLE_14, 706_442),
         (tutte_martin_canonical, SIMPLE_14, 403_176),
-        (qn_closed, SIMPLE_14, 328_975),
-        (q2_closed, LOOPED_10, 47_227),
+        (qn_closed, SIMPLE_14, 349_328),
+        (q2_closed, LOOPED_10, 37_902),
         (circuit_partition_poly, DIGRAPH_16, 27_894),
         (martin_poly, DIGRAPH_16, 35_741),
     ], ids=["recursive", "bouchet", "reduction", "avdh", "tm", "qn_closed",

@@ -392,8 +392,8 @@ class TestRankProfile:
             "complete-bipartite-looped-side", "edgeless-looped",
             "looped-triangle-and-path", "cube"])
     def test_structured_graphs(self, g):
-        # Each elimination case and the memoized last levels; in the cube
-        # some pivots also change another pending row.
+        # Each elimination case; in the cube some pivots also change
+        # another pending row.
         assert _rank_profile(g.adj, g.n, 0, 0) == brute_rank_profile(g)
 
     # In each, vertex 0 is loopless and adjacent to vertex 1 and to the
