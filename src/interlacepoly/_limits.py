@@ -11,28 +11,28 @@ reduction (and so martin), cpp, of the closed walk behind qn and q2
 (interlace._rank_profile) or of the choice walk behind avdh, isotropic
 and tm (gf2.choice_ranks) holds at most MEMO_BUDGET_BYTES, read at call
 time, per process under the pool: each is one Memo, a table per level
-and one count of the bytes left.  A store is charged an upper bound on
-the bytes it adds, in O(1) (in cpp, which adds into the values it
-stores, on what they can grow to); a hit costs nothing.  The closed and
-the choice walk add into their tables (Memo.add), a new entry charged
-its key's price and its value's digits and an entry the digits it
-gains, and each level is refunded once the next is built
-(Memo.release), so their budget bounds the two levels they hold.  On a
-dense 24-vertex graph in one process that live charge peaks at 111 MiB
-for closed, 125 MiB for q2 closed with loops (143 MiB with every vertex
-looped), 255 MiB for avdh and 138 MiB for tm, where tracemalloc peaks
-at 72, 77, 99, 40 and 27 MiB: the choice walk prices its key as a tuple
-of its rows, which bounds the one int that packs them.  No bound below
-the budget is proven on the closed walk's levels, as one was on the
-memo of the depth-first walk it replaced, so a closed call at n <= 24
-that walk ran may be refused; of 32 graphs measured at n = 24, of
-density 0.1 to 1 with no, some or every vertex looped, none charged
-more than 158 MiB.
+and one count of the bytes left.  An entry is charged, in O(1), its
+key's price (store_bytes) plus its value's digits, value.bit_length()
+// 7, and an entry that grows the digits it gains; a hit costs nothing.
+The recursions store each entry once (Memo.store) and the walks add
+into their tables (Memo.add).  The closed and the choice walk are
+refunded each level once the next is built (Memo.release), so their
+budget bounds the two levels they hold.  On a dense 24-vertex graph in
+one process that live charge peaks at 111 MiB for closed, 125 MiB for
+q2 closed with loops (143 MiB with every vertex looped), 91 MiB for
+avdh and 47 MiB for tm, where tracemalloc peaks at 72, 77, 99, 40 and
+27 MiB.  No bound below the budget is proven on the closed walk's
+levels, as one was on the memo of the depth-first walk it replaced, so
+a closed call at n <= 24 that walk ran may be refused; of 32 graphs
+measured at n = 24, of density 0.1 to 1 with no, some or every vertex
+looped, none charged more than 158 MiB.
 In the recursions a node that misses stores once and has at most three
 children besides its components, and cpp stores a state once per level
 and gives it two successors, so the budget bounds time too.  cpp's
 cleared levels are not refunded, since its budget is its only bound on
-time; the closed and the choice walk's time is bounded by rule 1.
+time: refunded, it would bound the two levels cpp holds but not how
+many states it walks.  The closed and the choice walk's time is bounded
+by rule 1.
 
 Rule 3, the profile bound: the reduction behind q2 carries its rank
 profile as one int, whose final value has (n + 1)**3 bits whatever the
@@ -88,11 +88,11 @@ def check_profile_bits(n: int) -> None:
                          f"{PROFILE_MAX_BITS} bits, got n = {n} ({bits} bits)")
 
 
-def store_bytes(key_len: int, key_bits: int, value_bits: int) -> int:
-    """Rule 2's charge for an int of value_bits bits stored under a tuple
-    of key_len ints of at most key_bits bits each."""
+def store_bytes(key_len: int, key_bits: int) -> int:
+    """Rule 2's price of a key: a tuple of key_len ints of at most
+    key_bits bits each, or for key_len = 1 one int of key_bits bits."""
     key_int = 0 if key_bits <= 8 else 40 + key_bits // 7
-    return ENTRY_BYTES + key_len * (8 + key_int) + value_bits // 7
+    return ENTRY_BYTES + key_len * (8 + key_int)
 
 
 def max_cut_rank() -> int:
@@ -104,11 +104,12 @@ def max_cut_rank() -> int:
 
 
 class Memo(list):
-    """A charged memo (rule 2): one table per level, lookups inline as
-    memo[level].get(key), and one count of the bytes left.  A walk that
-    fills its levels forward sums into them with add and clears each
-    level once the next is built with release, which refunds what add
-    charged that level."""
+    """A charged memo (rule 2): one table per level and one count of the
+    bytes left.  A recursion looks up inline, as memo[level].get(key),
+    and stores each miss once with store.  A walk that fills its levels
+    forward sums into them with add, and may clear each level once the
+    next is built with release, which refunds what add charged that
+    level."""
 
     __slots__ = ("left", "held")
 
@@ -117,8 +118,10 @@ class Memo(list):
         self.left = MEMO_BUDGET_BYTES
         self.held = [0] * levels
 
-    def store(self, level: int, key: object, value: int, nbytes: int) -> None:
-        self.left -= nbytes
+    def store(self, level: int, key: object, value: int, price: int) -> None:
+        """Store value at key, new there, charged as add charges a new
+        entry."""
+        self.left -= price + value.bit_length() // 7
         if self.left < 0:
             raise ValueError(f"the memo budget of {MEMO_BUDGET_BYTES} bytes per process is spent")
         self[level][key] = value

@@ -199,11 +199,11 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     links close, into level v + 1's table, and undoes the links; then it
     clears level v.  A histogram is packed into one int, count i in bits
     [i * w, (i + 1) * w) with w = n + 1 bits, enough for 2**n states, so
-    a shift and a sum are one big-int operation each.  A state first
-    stored at a level v >= k is charged the memo budget's price (see
-    _limits) of the level's key and 2 * v + 1 fields, as the v vertices
-    decided close at most 2 * v cycles; what later choices add into it
-    stays inside that price.
+    a shift and a sum are one big-int operation each.  The walk adds
+    into its tables with _limits.Memo.add, which charges a new state its
+    key and its histogram's digits and a state that grows the digits it
+    gains; a cleared level is not refunded, since the budget is the
+    walk's only bound on time (rule 2, see _limits).
 
     The tables' size follows the number of open ends at each level,
     which the labels set: circuit_partition_poly relabels its input by
@@ -219,10 +219,9 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
     for v in range(n):
         ends.append([e for e in ends[v] if head[e] != v]
                     + [e for e in outs[v] if head[e] > v])
-    price = [store_bytes(len(ends[v]), key_bits, w * (2 * v + 1))
-             if v >= k else 0 for v in range(n + 1)]
     memo = Memo(n + 1)
-    memo.store(0, (), 1, price[0])
+    add = memo.add
+    add(0, (), 1, store_bytes(0, key_bits))
     first = list(range(2 * n))
     last = list(range(2 * n))
     for v in range(n):
@@ -233,8 +232,7 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
         # The loads below need a tuple, which itemgetter of one item is not.
         key_of = (itemgetter(*ahead) if len(ahead) > 1
                   else lambda first, ahead=ahead: tuple(first[a] for a in ahead))
-        table = memo[v + 1]
-        charge = price[v + 1]
+        price = store_bytes(len(ahead), key_bits)
         choices = (0, 1) if v >= k else ((prefix >> v) & 1,)
         for key, hist in memo[v].items():
             for a, s in zip(loaded, key):
@@ -255,13 +253,7 @@ def _component_histogram(ins: Tuple[Tuple[int, ...], ...],
                 if join1:
                     last[s1] = t1
                     first[t1] = s1
-                nxt = key_of(first)
-                shifted = hist << (w * (2 - join0 - join1))
-                old = table.get(nxt)
-                if old is None:
-                    memo.store(v + 1, nxt, shifted, charge)
-                else:
-                    table[nxt] = old + shifted
+                add(v + 1, key_of(first), hist << (w * (2 - join0 - join1)), price)
                 if join1:
                     last[s1] = a1
                     first[t1] = b1

@@ -94,9 +94,8 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     the adjacency rows keep their bits below v, and the keys grow with
     n: the widest level holds 17,937 at n = 20 and 195,699 at n = 24
     (76,678 and 819,528 in all).  So every entry is charged to the memo
-    budget (see _limits.Memo.add): its key as a tuple of 2u rows as wide
-    as the widest pair row once the base is taken, which bounds the int
-    of those rows, and its value's digits as they grow.
+    budget (see _limits.Memo.add): its key as the one int of 2u fields
+    it is, and its value's digits as they grow.
     """
     n = len(pairs)
     w = n + 1
@@ -106,20 +105,18 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     # The rows left never reach past their own fields, so one mask of
     # field feet serves every level.
     rows, ones = pack_fields(top, field)
-    # The base rows, each its own pick; a key is priced at the width of
-    # the pair rows they leave.
+    # The base rows, each its own pick.
     for _ in base:
         r = rows & mask
         rows >>= field
         if r:
             rows = clear_bit(rows, ones, (r & -r).bit_length() - 1, r)
-    width = max(unpack_fields(rows, field, 2 * n), default=0).bit_length()
     pair_bits = 2 * field
     memo = Memo(n + 1)
-    memo.add(0, rows, 1, store_bytes(2 * n, width, 0))
     add = memo.add
+    add(0, rows, 1, store_bytes(1, n * pair_bits))
     for v in range(n):
-        price = store_bytes(2 * (n - v - 1), width, 0)
+        price = store_bytes(1, (n - v - 1) * pair_bits)
         picks = (0, 1) if v >= k else (prefix >> v & 1,)
         for rows, hist in memo[v].items():
             rest = rows >> pair_bits

@@ -132,7 +132,7 @@ def _reduce(g: SimpleGraph, memo: Memo, step: Callable[[SimpleGraph], Step]) -> 
             rows, value = graph.adj, combine(children)
             size = len(rows)
             graph, children, combine, i = frames.pop()
-        memo.store(size, rows, value, store_bytes(size, size, value.bit_length()))
+        memo.store(size, rows, value, store_bytes(size, size))
         children[i] = value
         i += 1
 
@@ -296,14 +296,14 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
         spread += [s | 1 << i * n for s in spread]
     byte_fields = 8 * n
     memo = Memo(n + 1)
-    memo.add(0, (rows, ()), 1, store_bytes(2, n * n, 0))
+    memo.add(0, (rows, ()), 1, store_bytes(2, n * n))
     add = memo.add
     for v in range(n):
         # Level v + 1 keeps the bits above v of every row.
         live = ones * (mask >> v + 1 << v + 1)
         stale = ~(1 << v)
         u = n - v - 1
-        price = [store_bytes(2 + d, u * n, 0) for d in range(u + 1)]
+        price = [store_bytes(2 + d, u * n) for d in range(u + 1)]
         choices = (1, 0) if v >= k else (prefix >> v & 1,)
         for (rows, pend), hist in memo[v].items():
             rv = rows & mask

@@ -204,7 +204,7 @@ class TestMartin:
         # The recursion on K_1100 is 1,100 levels deep.
         assert martin_poly(necklace(1100)) == UniPoly((0, 1 << 1099))
 
-    @pytest.mark.parametrize("n", [400, 1100])
+    @pytest.mark.parametrize("n", [400, 1100, 1500, 2048])
     def test_cpp_on_a_necklace(self, n):
         # The state walk fills one table per level, n levels deep.  f =
         # x*m(x+1) with m = qn(K_n) = 2**(n-1)*x, so f = 2**(n-1)*(x^2 + x).
