@@ -1,10 +1,9 @@
 """Every resource bound of the package, each set by what a route costs.
 
-Rule 1, the enumeration bound: a walk over all 2**n cases (closed,
-avdh, isotropic, tm and the references) runs for n <= ENUMERATION_MAX_N,
-checked before anything of size n is built: a level of the closed or
-the choice walk may hold up to 2**v states, and the references visit
-every case.
+Rule 1, the enumeration bound: the references that visit all 2**n
+cases with no memo, interlace.qn_closed_reference and
+eulerian.enumerate_states, run for n <= ENUMERATION_MAX_N, checked
+before anything of size n is built.
 
 Rule 2, the memo budget: the memo of one call of recursive, bouchet,
 reduction (and so martin), cpp, of the closed walk behind qn and q2
@@ -15,24 +14,23 @@ and one count of the bytes left.  An entry is charged, in O(1), its
 key's price (store_bytes) plus its value's digits, value.bit_length()
 // 7, and an entry that grows the digits it gains; a hit costs nothing.
 The recursions store each entry once (Memo.store) and the walks add
-into their tables (Memo.add).  The closed and the choice walk are
-refunded each level once the next is built (Memo.release), so their
-budget bounds the two levels they hold.  On a dense 24-vertex graph in
-one process that live charge peaks at 111 MiB for closed, 125 MiB for
-q2 closed with loops (143 MiB with every vertex looped), 91 MiB for
-avdh and 47 MiB for tm, where tracemalloc peaks at 72, 77, 99, 40 and
-27 MiB.  No bound below the budget is proven on the closed walk's
-levels, as one was on the memo of the depth-first walk it replaced, so
-a closed call at n <= 24 that walk ran may be refused; of 32 graphs
-measured at n = 24, of density 0.1 to 1 with no, some or every vertex
-looped, none charged more than 158 MiB.
-In the recursions a node that misses stores once and has at most three
-children besides its components, and cpp stores a state once per level
-and gives it two successors, so the budget bounds time too.  cpp's
-cleared levels are not refunded, since its budget is its only bound on
-time: refunded, it would bound the two levels cpp holds but not how
-many states it walks.  The closed and the choice walk's time is bounded
-by rule 1.
+into their tables (Memo.add).  Nothing is refunded: a walk clears each
+level once the next is built, and what the level was charged stays
+charged.  So the budget bounds time as well as memory: in the
+recursions a node that misses stores once and has at most three
+children besides its components, and a walk expands each state of a
+level once into at most two of the next, so a call's work follows its
+charge.  In one process the walks that spent the budget took 3-8 ns
+per byte charged, 4.3 s at most: 2-12 microseconds per state on the
+8x8 grid and a dense 30-vertex graph, and up to 21 ms per state on the
+2048-vertex path, whose keys are megabytes and are charged so.  No
+other bound holds the walks, which merge a sparse graph's subsets into
+few states: they run the 16x4 grid and a 30-vertex graph with 40
+edges.  A dense 24-vertex graph in one process is charged 213 MiB in
+all by closed, 235 MiB by q2 closed with loops (260 MiB with every
+vertex looped), 206 MiB by avdh and 89 MiB by tm; of 32 graphs at
+n = 24, of density 0.1 to 1 with no, some or every vertex looped, none
+was charged more than 276 MiB.
 
 Rule 3, the profile bound: the reduction behind q2 carries its rank
 profile as one int, whose final value has (n + 1)**3 bits whatever the
@@ -107,16 +105,14 @@ class Memo(list):
     """A charged memo (rule 2): one table per level and one count of the
     bytes left.  A recursion looks up inline, as memo[level].get(key),
     and stores each miss once with store.  A walk that fills its levels
-    forward sums into them with add, and may clear each level once the
-    next is built with release, which refunds what add charged that
-    level."""
+    forward sums into them with add, and may clear a level once the next
+    is built; what it was charged stays charged."""
 
-    __slots__ = ("left", "held")
+    __slots__ = ("left",)
 
     def __init__(self, levels: int) -> None:
         super().__init__({} for _ in range(levels))
         self.left = MEMO_BUDGET_BYTES
-        self.held = [0] * levels
 
     def store(self, level: int, key: object, value: int, price: int) -> None:
         """Store value at key, new there, charged as add charges a new
@@ -141,10 +137,4 @@ class Memo(list):
             self.left -= nbytes
             if self.left < 0:
                 raise ValueError(f"the memo budget of {MEMO_BUDGET_BYTES} bytes per process is spent")
-            self.held[level] += nbytes
         table[key] = value
-
-    def release(self, level: int) -> None:
-        """Clear a level and refund what add charged it."""
-        self[level].clear()
-        self.left += self.held[level]

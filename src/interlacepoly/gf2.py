@@ -62,14 +62,15 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     still to be decided, [a_i, b_i, a_i+1, b_i+1, ...], reduced modulo
     the span of the rows taken so far, so a later row is zero exactly
     when the span holds it.  A pick adds rank iff its row is nonzero,
-    and taking it clears its lowest set bit from the rows below; the
-    base rows are taken first, by the same step.
+    and taking it clears its lowest set bit from the rows below.  The
+    base rows are taken first, each a level of the walk with one pick,
+    so that their reduction is charged like any other level.
 
     The m rows left are one int (poly.pack_fields), row i in bits [i * W,
     (i + 1) * W) with W the width of the widest row, so dropping the
-    first pair is a shift by 2W, and taking row r, whose lowest set bit
-    is b, clears b from every row below in three big-int operations
-    (poly.clear_bit).
+    first pair is a shift by 2W and a base row one by W, and taking row
+    r, whose lowest set bit is b, clears b from every row below in three
+    big-int operations (poly.clear_bit).
 
     The rest of the walk is a function of the rows left alone, so level
     v holds one table, as eulerian._component_histogram does, from their
@@ -77,10 +78,11 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     already held, packed into one int: count i in bits [i * w,
     (i + 1) * w) with w = n + 1, enough for the 2**n picks.  The walk
     fills the tables forward: it expands each state of level v once,
-    only by the prefix's pick below level k, shifts its histogram by w
-    if the pick is lost, and adds it into level v + 1's table; then it
-    releases level v.  Level n holds one key, 0, whose histogram is the
-    walk's total, unpacked once (poly.unpack_fields).
+    only by the prefix's pick for the first k pairs, shifts its
+    histogram by w if the pick is lost, and adds it into level v + 1's
+    table; then it clears level v.  The last level holds one key, 0,
+    whose histogram is the walk's total, unpacked once
+    (poly.unpack_fields).
 
     How many keys a level holds depends on the rows.  A reduced row is
     the one member of its coset modulo the span taken that is zero in
@@ -94,8 +96,10 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     the adjacency rows keep their bits below v, and the keys grow with
     n: the widest level holds 17,937 at n = 20 and 195,699 at n = 24
     (76,678 and 819,528 in all).  So every entry is charged to the memo
-    budget (see _limits.Memo.add): its key as the one int of 2u fields
-    it is, and its value's digits as they grow.
+    budget (see _limits.Memo.add): its key as the one int of the fields
+    left it is, and its value's digits as they grow.  A cleared level is
+    not refunded, since the budget is the walk's only bound on time
+    (rule 2, see _limits).
     """
     n = len(pairs)
     w = n + 1
@@ -105,26 +109,23 @@ def choice_ranks(base: Sequence[int], pairs: Sequence[Tuple[int, int]],
     # The rows left never reach past their own fields, so one mask of
     # field feet serves every level.
     rows, ones = pack_fields(top, field)
-    # The base rows, each its own pick.
-    for _ in base:
-        r = rows & mask
-        rows >>= field
-        if r:
-            rows = clear_bit(rows, ones, (r & -r).bit_length() - 1, r)
-    pair_bits = 2 * field
-    memo = Memo(n + 1)
+    # Each level's rows taken and picks: the base rows singly, then pairs.
+    steps = [(1, (0,))] * len(base) + [
+        (2, (0, 1) if i >= k else (prefix >> i & 1,)) for i in range(n)]
+    fields = len(top)
+    memo = Memo(len(steps) + 1)
     add = memo.add
-    add(0, rows, 1, store_bytes(1, n * pair_bits))
-    for v in range(n):
-        price = store_bytes(1, (n - v - 1) * pair_bits)
-        picks = (0, 1) if v >= k else (prefix >> v & 1,)
+    add(0, rows, 1, store_bytes(1, fields * field))
+    for v, (taken, picks) in enumerate(steps):
+        fields -= taken
+        price = store_bytes(1, fields * field)
         for rows, hist in memo[v].items():
-            rest = rows >> pair_bits
+            rest = rows >> taken * field
             for c in picks:
                 r = rows >> c * field & mask
                 if r:
                     add(v + 1, clear_bit(rest, ones, (r & -r).bit_length() - 1, r), hist, price)
                 else:
                     add(v + 1, rest, hist << w, price)
-        memo.release(v)
-    return unpack_fields(memo[n][0], w, n + 1)
+        memo[v].clear()
+    return unpack_fields(memo[-1][0], w, n + 1)

@@ -167,8 +167,8 @@ def qn_closed(g: SimpleGraph) -> UniPoly:
     _rank_profile), pooled from n = 16 on (see _closed_profile).
 
     Raises:
-        ValueError: if n is past the enumeration bound, or if the walk's
-            tables need more than the memo budget (see _limits).
+        ValueError: if the walk's tables need more than the memo budget
+            (see _limits).
     """
     _require_loopless(g)
     w = g.n + 1
@@ -197,7 +197,6 @@ def _closed_profile(adj: Tuple[int, ...], n: int) -> List[int]:
     one table per level, in the graph's own labels.  Under the pool (see
     _workers.sum_histograms) each process walks the subsets of one
     prefix with a memo of its own."""
-    check_enumeration(n)
     return sum_histograms(_rank_profile, (adj, n), n)
 
 
@@ -275,11 +274,13 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
     fills the tables forward: it expands each state of level v once,
     only by the prefix's branch below level k, shifts its histogram by
     one field per rank the step gains and by n+1 more if it adds 1 to
-    phi, and adds it into level v + 1's table; then it releases level
+    phi, and adds it into level v + 1's table; then it clears level
     v.  Level n holds one key, (0, ()), whose histogram is the profile,
     returned at rank*(n+1) + nullity.  Each entry is charged to the memo
     budget (see _limits.Memo.add): its key as 2 + dim D ints of
-    (n - v) * n bits, and its value's digits as they grow.
+    (n - v) * n bits, and its value's digits as they grow.  A cleared
+    level is not refunded, since the budget is the walk's only bound on
+    time (rule 2, see _limits).
     """
     w = n + 1
     # The shifts of a histogram by one more rank, two more ranks or one
@@ -345,7 +346,7 @@ def _rank_profile(adj: Tuple[int, ...], n: int, k: int,
                 else:
                     kept = tuple([q & stale for q in pend])
                 add(v + 1, (below & live, kept), hist << shift, price[len(kept)])
-        memo.release(v)
+        memo[v].clear()
     flat = unpack_fields(memo[n][0, ()], w, w * w)
     return [flat[j * w + r] for r in range(w) for j in range(w)]
 
@@ -363,12 +364,11 @@ def qn_avdh(g: SimpleGraph) -> UniPoly:
     histograms them by corank, pooled by _workers.sum_histograms.
 
     Raises:
-        ValueError: if n is past the enumeration bound, or if the walk's
-            memo needs more than the memo budget (see _limits).
+        ValueError: if the walk's memo needs more than the memo budget
+            (see _limits).
     """
     from .gf2 import choice_ranks
     _require_loopless(g)
-    check_enumeration(g.n)
     pairs = tuple((row, 1 << i) for i, row in enumerate(g.adj))
     counts = sum_histograms(choice_ranks, ((), pairs), g.n)
     return poly_from_shift_counts(counts)

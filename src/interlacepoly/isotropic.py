@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ._limits import check_enumeration, check_vertex_count
+from ._limits import check_vertex_count
 from ._workers import sum_histograms
 from .gf2 import choice_ranks, rank, reduce_by_pivots
 from .graph import SimpleGraph
@@ -266,15 +266,14 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
     _workers.sum_histograms.
 
     Raises:
-        ValueError: if n is past the enumeration bound, or if the walk's
-            memo needs more than the memo budget (see _limits).
+        ValueError: if the walk's memo needs more than the memo budget
+            (see _limits).
     """
     if comp.n != system.n:
         raise ValueError("length mismatch")
     if not comp.is_complete():
         raise ValueError("the excluded vector must be nonzero everywhere")
     n = system.n
-    check_enumeration(n)
     pairs = tuple(
         tuple(c << (2 * v) for c in (K_X, K_Y, K_Z) if c != comp.code(v))
         for v in range(n))
@@ -284,8 +283,7 @@ def tutte_martin_restricted(system: IsotropicSystem, comp: KVector) -> UniPoly:
 
 def tutte_martin_presented(g: SimpleGraph, a: KVector, b: KVector) -> UniPoly:
     """tutte_martin_restricted of the graphic system presented by (g, a,
-    b), excluding a + b; rule 1 first, then the O(n**2) basis check."""
-    check_enumeration(g.n)
+    b), excluding a + b."""
     return tutte_martin_restricted(graphic_system(g, a, b), a + b)
 
 

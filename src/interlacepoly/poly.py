@@ -257,7 +257,16 @@ def pack_fields(values: Sequence[int], width: int) -> Tuple[int, int]:
     [i * width, (i + 1) * width), and the mask `ones` with a 1 at the
     foot of each of those fields.  The 2**n walks, gf2.choice_ranks and
     interlace._rank_profile, carry their GF(2) rows so, a row per field,
-    and update all of them at once (clear_bit)."""
+    and update all of them at once (clear_bit).  Many fields are packed
+    by halves, as unpack_fields reads them, since a shift per field
+    costs O(count * size)."""
+    count = len(values)
+    if count > 8 and width * count > 2048:
+        half = count // 2
+        bits = width * half
+        low, low_ones = pack_fields(values[:half], width)
+        high, high_ones = pack_fields(values[half:], width)
+        return low | high << bits, low_ones | high_ones << bits
     packed = ones = 0
     for value in reversed(values):
         packed = packed << width | value

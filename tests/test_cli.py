@@ -7,11 +7,10 @@ import random
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from math import comb
 
 import pytest
 
-from interlacepoly import _limits, cli, eulerian, interlace, isotropic, verify
+from interlacepoly import _limits, cli, eulerian, interlace, verify
 from interlacepoly.graph import SimpleGraph
 
 P3_TEXT = "3 2\n0 1\n1 2\n"
@@ -83,8 +82,8 @@ class TestQn:
 
     @pytest.mark.parametrize("n", [3, 30])
     def test_every_method_rejects_a_loop_alike(self, capsys, n):
-        # At n=30 the enumerations are past their bound, which the loop
-        # check comes before.
+        # At n=30 too the loop check comes before any walk or recursion
+        # starts.
         text = SimpleGraph.from_edges(n, [(0, 0), (1, 2)], loops_allowed=True).to_text()
         errors = {run_err(capsys, ["qn", text, "--method", m]) for m in cli.QN_METHODS}
         assert errors == {"error: qn is defined for loopless graphs only\n"}
@@ -349,39 +348,34 @@ class TestResourceRules:
     """Every route past its resource bound (see _limits) exits 1 with one
     error line that names the bound."""
 
-    ENUMERATED = [("qn", "closed"), ("qn", "avdh"), ("qn", "isotropic"),
-                  ("q2", "closed"), ("tm", None)]
+    WALKS = [("qn", "closed"), ("qn", "avdh"), ("qn", "isotropic"),
+             ("q2", "closed"), ("tm", None)]
     MEMOIZED = [("qn", "recursive"), ("qn", "bouchet"), ("q2", "reduction"),
                 ("cpp", None), ("martin", None)]
     CHOICE_WALKS = [("qn", "avdh"), ("qn", "isotropic"), ("tm", None)]
     GRAPH = verify.random_simple_graph(12, random.Random(1)).to_text()
     DIGRAPH = eulerian.random_eulerian_digraph(16, 1).to_text()
+    SPARSE_30 = SimpleGraph.from_edges(30, random.Random(1).sample(
+        [(u, v) for u in range(30) for v in range(u + 1, 30)], 40)).to_text()
 
     @staticmethod
     def argv(command, method, text):
         return [command, text] + (["--method", method] if method else [])
 
-    @pytest.mark.parametrize("command, method", ENUMERATED,
-                             ids=["-".join(filter(None, r)) for r in ENUMERATED])
-    def test_enumeration_bound(self, capsys, command, method):
-        err = run_err(capsys, self.argv(command, method, "25 0"))
-        assert err.count("\n") == 1 and "enumeration bound" in err
+    @pytest.mark.parametrize("command, method", WALKS,
+                             ids=["-".join(filter(None, r)) for r in WALKS])
+    def test_a_walk_runs_past_n_24(self, capsys, command, method):
+        # No enumeration bound holds the walks; their memo budget does,
+        # and the states of a sparse graph fit it.
+        power = "y^25\n" if command == "q2" else "x^25\n"
+        assert run_ok(capsys, self.argv(command, method, "25 0")) == power
+        want = (["q2", self.SPARSE_30, "--method", "reduction"] if command == "q2"
+                else ["qn", self.SPARSE_30, "--method", "recursive"])
+        assert run_ok(capsys, self.argv(command, method, self.SPARSE_30)) == run_ok(capsys, want)
 
-    @pytest.mark.parametrize("command, method", CHOICE_WALKS,
-                             ids=["-".join(filter(None, r)) for r in CHOICE_WALKS])
-    def test_choice_walks_share_the_bound(self, capsys, monkeypatch, command, method):
-        # The walk is replaced by the histogram it gives on the edgeless
-        # graph, so that n = 24 is admitted without 2**24 steps.
-        def edgeless(kernel, args, n):
-            return [comb(n, i) for i in range(n + 1)]
-        monkeypatch.setattr(interlace, "sum_histograms", edgeless)
-        monkeypatch.setattr(isotropic, "sum_histograms", edgeless)
-        assert run_ok(capsys, self.argv(command, method, "24 0")) == "x^24\n"
-        run_err(capsys, self.argv(command, method, "25 0"))
-
-    def test_tm_checks_the_bound_before_the_presentation(self, capsys):
+    def test_tm_checks_the_presentation_past_n_24(self, capsys):
         err = run_err(capsys, ["tm", "25 0", "--A", "x"])
-        assert "enumeration bound" in err
+        assert err.count("\n") == 1 and "presentation" in err
 
     @pytest.mark.parametrize("command, method", MEMOIZED,
                              ids=["-".join(filter(None, r)) for r in MEMOIZED])
@@ -417,7 +411,8 @@ class TestResourceRules:
         err = run_err(capsys, ["q2", text, "--method", "reduction"])
         assert err.count("\n") == 1 and "profile bound" in err
 
-    POOLED = [("cpp", None), ("tm", None), ("qn", "avdh")]
+    POOLED = [("cpp", None), ("tm", None), ("qn", "avdh"), ("qn", "closed"),
+              ("q2", "closed")]
 
     @pytest.mark.parametrize("command, method", POOLED,
                              ids=["-".join(filter(None, r)) for r in POOLED])

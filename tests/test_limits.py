@@ -30,10 +30,10 @@ class TestMemoCharge:
         (qn_recursive, SIMPLE_12, 52_911),
         (qn_bouchet, SIMPLE_12, 48_169),
         (q2_reduction, LOOPED_10, 46_015),
-        (qn_avdh, SIMPLE_14, 309_564),
-        (tutte_martin_canonical, SIMPLE_14, 145_512),
-        (qn_closed, SIMPLE_14, 349_328),
-        (q2_closed, LOOPED_10, 37_902),
+        (qn_avdh, SIMPLE_14, 653_988),
+        (tutte_martin_canonical, SIMPLE_14, 283_968),
+        (qn_closed, SIMPLE_14, 592_226),
+        (q2_closed, LOOPED_10, 69_229),
         (circuit_partition_poly, DIGRAPH_16, 24_034),
         (martin_poly, DIGRAPH_16, 35_741),
     ], ids=["recursive", "bouchet", "reduction", "avdh", "tm", "qn_closed",
@@ -77,9 +77,8 @@ class TestMemoCharge:
                              ids=["closed", "avdh"])
     def test_a_forward_walk_is_refused_before_it_holds_its_budget(
             self, monkeypatch, pin_cpus, route, arg):
-        # These walks hold two levels at a time and are refunded each
-        # level they clear, so the charge must still cover what the two
-        # live levels hold.
+        # These walks hold two levels at a time and charge every level
+        # they fill, so the charge covers what the two live levels hold.
         pin_cpus(1)
         budget = 4 << 20
         monkeypatch.setattr(_limits, "MEMO_BUDGET_BYTES", budget)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from interlacepoly.poly import BiPoly, UniPoly, poly_from_shift_counts, unpack_fields
+from interlacepoly.poly import (BiPoly, UniPoly, pack_fields, poly_from_shift_counts,
+                               unpack_fields)
 
 
 class TestUniPolyBasics:
@@ -188,6 +189,7 @@ class TestPackedFields:
             width = rng.randrange(1, 70)
             fields = [rng.randrange(1 << width) for _ in range(rng.randrange(1, 9))]
             packed = sum(f << width * i for i, f in enumerate(fields))
+            assert pack_fields(fields, width)[0] == packed
             assert unpack_fields(packed, width, len(fields)) == fields
 
     @pytest.mark.parametrize("width", [1, 7, 64, 301])
@@ -196,6 +198,8 @@ class TestPackedFields:
         full = (1 << width) - 1
         fields = [rng.choice((0, full, rng.randrange(1 << width))) for _ in range(3001)]
         packed = sum(f << width * i for i, f in enumerate(fields))
+        ones = sum(1 << width * i for i in range(len(fields)))
+        assert pack_fields(fields, width) == (packed, ones)
         for count in (3001, 2000, 1):
             want = [(packed >> width * i) & full for i in range(count)]
             assert unpack_fields(packed, width, count) == want == fields[:count]
